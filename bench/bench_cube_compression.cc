@@ -211,15 +211,9 @@ int64_t WarmMakespan(TemporalIndex* index, const WorldMap& world,
   cache_options.byte_budget = uint64_t{1} << 40;  // hold everything
   CubeCache cache(cache_options);
   QueryExecutor executor(index, &cache, &world);
-  CatalogSnapshot snapshot = index->Snapshot();
+  // One pass admits every planned cube (in its resident form).
   for (const AnalysisQuery& q : queries) {
-    for (const CubeKey& key : executor.PlanFor(q).cubes) {
-      if (cache.Contains(key)) continue;
-      auto cube = index->ReadCube(key);
-      RASED_CHECK(cube.ok()) << cube.status().ToString();
-      cache.Insert(key, snapshot.PageOf(key).value_or(kInvalidPageId),
-                   std::move(cube).value());
-    }
+    RASED_CHECK(executor.Execute(q).ok());
   }
   int64_t best = 0;
   for (int r = 0; r < repeats; ++r) {
@@ -392,8 +386,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: daily country cubes are ~1-2%% dense, so sparse\n"
       "COO collapses their 13-page dense runs to a single page; weekly and\n"
-      "monthly rollups land on delta-varint. The warm ratio stays ~1.0\n"
-      "because cache hits aggregate decoded dense cubes on both sides —\n"
-      "compression only changes what crosses the device.\n");
+      "monthly rollups land on delta-varint. Cache hits aggregate their\n"
+      "resident blobs: sparse COO as stored, delta rollups decoded to\n"
+      "dense at admission, so the warm ratio stays at or below ~1.0 —\n"
+      "sparse hits skip the zero cells the dense side sums.\n");
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "cube/cube_codec.h"
@@ -13,13 +14,27 @@ namespace rased {
 
 namespace {
 
-/// Encoded size of a cube the caller could not supply one for (page-less
-/// inserts, tests). One encode pass; the encoded form is discarded.
-uint64_t MeasureEncodedBytes(const DataCube& cube) {
-  return EncodedCube::Encode(cube).SerializedBytes();
-}
+/// Blob bytes one batched warm read may cover, bounding Warm's transient
+/// arena (the selected cubes are read in as many batches as it takes).
+constexpr uint64_t kWarmBatchBytes = uint64_t{4} << 20;
 
 }  // namespace
+
+uint64_t CacheOptions::BytesForCubes(size_t cubes, const CubeSchema& schema) {
+  return static_cast<uint64_t>(cubes) *
+         CubeCache::EntryBytes(schema.cube_bytes());
+}
+
+uint64_t CubeCache::EntryBytes(size_t body_bytes) {
+  // make_shared block: two reference counts and a vtable pointer ahead of
+  // the EncodedCube. Hash node: next pointer, key/entry pair, cached hash;
+  // plus one bucket pointer. LRU node: two links and the key.
+  constexpr uint64_t kOverhead =
+      2 * sizeof(void*) + sizeof(EncodedCube) +
+      sizeof(void*) + sizeof(std::pair<const CubeKey, Entry>) +
+      sizeof(size_t) + sizeof(void*) + 2 * sizeof(void*) + sizeof(CubeKey);
+  return kOverhead + (body_bytes + 7) / 8 * 8;
+}
 
 CubeCache::CubeCache(const CacheOptions& options) : options_(options) {
   if (options_.metrics != nullptr) {
@@ -40,7 +55,8 @@ CubeCache::CubeCache(const CacheOptions& options) : options_(options) {
                            "Cubes currently resident in the cache");
     metrics_.resident_bytes =
         registry->GetGauge("rased_cache_resident_bytes",
-                           "Encoded bytes charged against the cache budget");
+                           "Heap bytes held by resident cube blobs and their "
+                           "entries (the byte-budget charge)");
     metrics_.budget_bytes = registry->GetGauge(
         "rased_cache_budget_bytes", "Configured cache byte budget");
     metrics_.budget_bytes->Set(static_cast<int64_t>(options_.byte_budget));
@@ -53,39 +69,54 @@ void CubeCache::Preload(const TemporalIndex* index,
   if (max_bytes == 0) return;
   // Selection first, purely from catalog metadata: walk the level newest to
   // oldest (LatestKeys returns newest last) and take the contiguous prefix
-  // whose encoded sizes fit. Only the selected cubes are then read (and
+  // whose resident entries fit. Only the selected cubes are then read (and
   // charged) — sizing never costs I/O.
+  std::vector<CubeKey> keys;
+  std::vector<CubeLoc> locs;
   uint64_t selected_bytes = 0;
-  const std::vector<CubeKey> keys =
+  const std::vector<CubeKey> latest =
       snapshot.LatestKeys(level, std::numeric_limits<size_t>::max());
-  for (auto kit = keys.rbegin(); kit != keys.rend(); ++kit) {
-    const CubeKey& key = *kit;
-    std::optional<uint64_t> encoded = snapshot.EncodedBytesOf(key);
-    if (!encoded.has_value()) continue;  // raced away; snapshot makes this moot
-    if (selected_bytes + *encoded > max_bytes) break;
-    selected_bytes += *encoded;
+  for (auto kit = latest.rbegin(); kit != latest.rend(); ++kit) {
+    std::optional<CubeLoc> loc = snapshot.LocOf(*kit);
+    if (!loc.has_value()) continue;  // raced away; snapshot makes this moot
+    // The resident form (EncodedCubeBatch::Extract) of delta-varint and
+    // seed-format legacy cubes is dense; the others keep their body.
+    const bool dense =
+        loc->legacy || loc->encoding == CubeEncoding::kDeltaVarint;
+    const uint64_t bytes =
+        EntryBytes(dense ? index->options().schema.cube_bytes()
+                         : loc->blob_bytes - CubeBlobHeader::kBytes);
+    if (selected_bytes + bytes > max_bytes) break;
+    selected_bytes += bytes;
+    keys.push_back(*kit);
+    locs.push_back(*loc);
+  }
 
-    std::optional<PageId> page = snapshot.PageOf(key);
-    auto cube = index->ReadCube(snapshot, key);
-    if (!cube.ok()) {
-      RASED_LOG(Warning) << "cache preload of " << key.ToString()
-                         << " failed: " << cube.status().ToString();
-      continue;
+  // Read the selection in batches of about kWarmBatchBytes of blobs, and
+  // admit each blob in its resident form.
+  for (size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
+    uint64_t batch_bytes = 0;
+    while (end < keys.size() &&
+           (end == begin ||
+            batch_bytes + locs[end].blob_bytes <= kWarmBatchBytes)) {
+      batch_bytes += locs[end++].blob_bytes;
     }
-    auto shared =
-        std::make_shared<const DataCube>(std::move(cube).value());
-    MutexLock lock(&mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) bytes_used_ -= it->second.bytes;
-    Entry entry{std::move(shared), page.value_or(kInvalidPageId), *encoded,
-                lru_list_.end(), false};
-    entries_.insert_or_assign(key, std::move(entry));
-    bytes_used_ += *encoded;
-    ++stats_.preloaded;
-    if (metrics_.preloads != nullptr) {
-      metrics_.preloads->Increment();
-      metrics_.resident->Set(static_cast<int64_t>(entries_.size()));
-      metrics_.resident_bytes->Set(static_cast<int64_t>(bytes_used_));
+    auto batch = index->ReadCubes(
+        snapshot, std::span<const CubeKey>(keys).subspan(begin, end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      auto blob = batch.ok() ? batch.value().Extract(i - begin)
+                             : Result<std::shared_ptr<const EncodedCube>>(
+                                   batch.status());
+      if (!blob.ok()) {
+        RASED_LOG(Warning) << "cache preload of " << keys[i].ToString()
+                           << " failed: " << blob.status().ToString();
+        continue;
+      }
+      const uint64_t bytes = EntryBytes(blob.value()->body_bytes());
+      MutexLock lock(&mu_);
+      Admit(keys[i], locs[i].first_page, bytes, std::move(blob).value());
+      ++stats_.preloaded;
+      if (metrics_.preloads != nullptr) metrics_.preloads->Increment();
     }
   }
 }
@@ -106,7 +137,7 @@ Status CubeCache::Warm(const TemporalIndex* index) {
   // whatever the coarser levels cannot fill (an index may simply have fewer
   // weekly cubes than beta's share of bytes) falls back to daily, the level
   // with the most nodes. Compression multiplies here: the shares are bytes,
-  // so sparsely-encoded cubes cost the budget only what they actually store.
+  // so sparsely-encoded cubes cost the budget only what they actually hold.
   const double b = static_cast<double>(budget);
   uint64_t weekly = static_cast<uint64_t>(std::floor(options_.beta * b));
   uint64_t monthly = static_cast<uint64_t>(std::floor(options_.gamma * b));
@@ -121,24 +152,8 @@ Status CubeCache::Warm(const TemporalIndex* index) {
   return Status::OK();
 }
 
-std::shared_ptr<const DataCube> CubeCache::Find(const CubeKey& key) {
-  MutexLock lock(&mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    if (metrics_.misses != nullptr) metrics_.misses->Increment();
-    return nullptr;
-  }
-  ++stats_.hits;
-  if (metrics_.hits != nullptr) metrics_.hits->Increment();
-  if (options_.policy == CachePolicy::kLru && it->second.in_lru) {
-    lru_list_.splice(lru_list_.begin(), lru_list_, it->second.lru_it);
-  }
-  return it->second.cube;
-}
-
-std::shared_ptr<const DataCube> CubeCache::Find(const CubeKey& key,
-                                                PageId page) {
+std::shared_ptr<const EncodedCube> CubeCache::FindEncoded(const CubeKey& key,
+                                                          PageId page) {
   MutexLock lock(&mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.page != page) {
@@ -150,50 +165,29 @@ std::shared_ptr<const DataCube> CubeCache::Find(const CubeKey& key,
   }
   ++stats_.hits;
   if (metrics_.hits != nullptr) metrics_.hits->Increment();
-  if (options_.policy == CachePolicy::kLru && it->second.in_lru) {
+  if (AdmitsOnQuery()) {
     lru_list_.splice(lru_list_.begin(), lru_list_, it->second.lru_it);
   }
   return it->second.cube;
 }
 
-void CubeCache::Insert(const CubeKey& key, const DataCube& cube) {
-  Insert(key, kInvalidPageId, cube);
-}
-
-void CubeCache::Insert(const CubeKey& key, DataCube&& cube) {
-  Insert(key, kInvalidPageId, std::move(cube));
+std::shared_ptr<const DataCube> CubeCache::Find(const CubeKey& key,
+                                                PageId page) {
+  std::shared_ptr<const EncodedCube> blob = FindEncoded(key, page);
+  if (blob == nullptr) return nullptr;
+  auto cube = blob->Decode();
+  if (!cube.ok()) return nullptr;
+  return std::make_shared<const DataCube>(std::move(cube).value());
 }
 
 void CubeCache::Insert(const CubeKey& key, PageId page,
-                       const DataCube& cube) {
-  if (options_.policy != CachePolicy::kLru) return;
-  // Measure and build the shared copy outside the lock; admission is
-  // pointer surgery.
-  uint64_t bytes = MeasureEncodedBytes(cube);
-  auto shared = std::make_shared<const DataCube>(cube);
+                       std::shared_ptr<const EncodedCube> cube) {
+  if (!AdmitsOnQuery() || cube == nullptr) return;
+  const uint64_t bytes = EntryBytes(cube->body_bytes());
+  if (bytes > options_.byte_budget) return;  // can never fit
   MutexLock lock(&mu_);
-  AdmitLru(key, page, bytes, std::move(shared));
-}
-
-void CubeCache::Insert(const CubeKey& key, PageId page, DataCube&& cube) {
-  if (options_.policy != CachePolicy::kLru) return;
-  uint64_t bytes = MeasureEncodedBytes(cube);
-  auto shared = std::make_shared<const DataCube>(std::move(cube));
-  MutexLock lock(&mu_);
-  AdmitLru(key, page, bytes, std::move(shared));
-}
-
-void CubeCache::Insert(const CubeKey& key, PageId page, uint64_t encoded_bytes,
-                       DataCube&& cube) {
-  if (options_.policy != CachePolicy::kLru) return;
-  auto shared = std::make_shared<const DataCube>(std::move(cube));
-  MutexLock lock(&mu_);
-  AdmitLru(key, page, encoded_bytes, std::move(shared));
-}
-
-bool CubeCache::Contains(const CubeKey& key) const {
-  MutexLock lock(&mu_);
-  return entries_.find(key) != entries_.end();
+  Admit(key, page, bytes, std::move(cube));
+  if (metrics_.admissions != nullptr) metrics_.admissions->Increment();
 }
 
 bool CubeCache::Contains(const CubeKey& key, PageId page) const {
@@ -202,40 +196,29 @@ bool CubeCache::Contains(const CubeKey& key, PageId page) const {
   return it != entries_.end() && it->second.page == page;
 }
 
-void CubeCache::AdmitLru(const CubeKey& key, PageId page, uint64_t bytes,
-                         std::shared_ptr<const DataCube> cube) {
-  if (bytes > options_.byte_budget) return;  // can never fit
+void CubeCache::Admit(const CubeKey& key, PageId page, uint64_t bytes,
+                      std::shared_ptr<const EncodedCube> cube) {
+  // A refresh replaces the old entry and its charge.
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    bytes_used_ = bytes_used_ - it->second.bytes + bytes;
-    it->second.cube = std::move(cube);
-    it->second.page = page;
-    it->second.bytes = bytes;
-    if (it->second.in_lru) {
-      lru_list_.splice(lru_list_.begin(), lru_list_, it->second.lru_it);
-    }
-    if (metrics_.resident_bytes != nullptr) {
-      metrics_.resident_bytes->Set(static_cast<int64_t>(bytes_used_));
-    }
-    return;
+    bytes_used_ -= it->second.bytes;
+    if (AdmitsOnQuery()) lru_list_.erase(it->second.lru_it);
+    entries_.erase(it);
   }
+  // Only LRU entries are ever evicted; the static preload selects to fit.
   while (bytes_used_ + bytes > options_.byte_budget && !lru_list_.empty()) {
-    CubeKey victim = lru_list_.back();
+    auto victim = entries_.find(lru_list_.back());
+    bytes_used_ -= victim->second.bytes;
+    entries_.erase(victim);
     lru_list_.pop_back();
-    auto vit = entries_.find(victim);
-    if (vit != entries_.end()) {
-      bytes_used_ -= vit->second.bytes;
-      entries_.erase(vit);
-    }
     ++stats_.evictions;
     if (metrics_.evictions != nullptr) metrics_.evictions->Increment();
   }
-  lru_list_.push_front(key);
-  Entry entry{std::move(cube), page, bytes, lru_list_.begin(), true};
-  entries_.emplace(key, std::move(entry));
+  if (AdmitsOnQuery()) lru_list_.push_front(key);
+  entries_.emplace(key,
+                   Entry{std::move(cube), page, bytes, lru_list_.begin()});
   bytes_used_ += bytes;
-  if (metrics_.admissions != nullptr) {
-    metrics_.admissions->Increment();
+  if (metrics_.resident != nullptr) {
     metrics_.resident->Set(static_cast<int64_t>(entries_.size()));
     metrics_.resident_bytes->Set(static_cast<int64_t>(bytes_used_));
   }
@@ -246,7 +229,7 @@ void CubeCache::InvalidateRange(const DateRange& range) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->first.range().Overlaps(range)) {
       bytes_used_ -= it->second.bytes;
-      if (it->second.in_lru) lru_list_.erase(it->second.lru_it);
+      if (AdmitsOnQuery()) lru_list_.erase(it->second.lru_it);
       it = entries_.erase(it);
     } else {
       ++it;
@@ -273,12 +256,8 @@ CacheStats CubeCache::stats() const {
   return stats_;
 }
 
-void CubeCache::ResetStats() {
+void CubeCache::Clear() {
   MutexLock lock(&mu_);
-  stats_ = CacheStats{};
-}
-
-void CubeCache::ClearLocked() {
   entries_.clear();
   lru_list_.clear();
   bytes_used_ = 0;
@@ -286,11 +265,6 @@ void CubeCache::ClearLocked() {
     metrics_.resident->Set(0);
     metrics_.resident_bytes->Set(0);
   }
-}
-
-void CubeCache::Clear() {
-  MutexLock lock(&mu_);
-  ClearLocked();
 }
 
 }  // namespace rased

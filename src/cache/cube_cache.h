@@ -31,12 +31,12 @@ enum class CachePolicy {
 };
 
 struct CacheOptions {
-  /// Cache capacity in bytes of *encoded* cube storage — the paper's 2 GB
-  /// deployment figure. Every entry is charged its exact serialized
-  /// (compressed) length as recorded in the catalog, so adaptive cube
-  /// compression directly multiplies how many cubes the same budget
-  /// holds. The decoded working copies are what hits return; the budget
-  /// models the resource the paper sizes (bytes of cached cube state).
+  /// Cache capacity in bytes of resident memory — the paper's 2 GB
+  /// deployment figure (Section VII-A). Every entry is charged the heap it
+  /// holds (CubeCache::EntryBytes): its resident blob's body — sparse COO
+  /// or dense, delta-varint rollups decoded to dense once at admission —
+  /// plus the fixed per-entry bookkeeping. Sparse encoding therefore
+  /// directly multiplies how many cubes the same budget holds.
   uint64_t byte_budget = uint64_t{2} << 30;
 
   /// Per-level byte shares for kRasedRecency; must sum to ~1. Defaults
@@ -56,12 +56,8 @@ struct CacheOptions {
 
   /// Budget with guaranteed room for `cubes` cubes of any encoding — the
   /// conversion helper for configurations historically expressed in
-  /// slots. Counts the blob header per cube because the adaptive encoder's
-  /// worst case (dense fallback) serializes to cube_bytes + header.
-  static uint64_t BytesForCubes(size_t cubes, const CubeSchema& schema) {
-    return static_cast<uint64_t>(cubes) *
-           (schema.cube_bytes() + CubeBlobHeader::kBytes);
-  }
+  /// slots. Charges each cube as a dense entry, the largest resident form.
+  static uint64_t BytesForCubes(size_t cubes, const CubeSchema& schema);
 };
 
 struct CacheStats {
@@ -75,24 +71,29 @@ struct CacheStats {
 /// pager (Section VII-A). Lookups are zero-I/O; the executor charges disk
 /// cost only for misses.
 ///
+/// Resident form: entries hold the cube's encoded blob, never a decoded
+/// DataCube. Sparse COO and dense blobs stay exactly as read; delta-varint
+/// blobs are decoded to dense once at admission (EncodedCubeBatch::
+/// Extract). Hits and misses therefore aggregate through the same
+/// AccumulateEncodedSlice kernels, and the byte budget charges the heap an
+/// entry really holds.
+///
 /// Threading contract: CubeCache is internally synchronized. Lookups,
 /// inserts, invalidation, warming, and stats are safe from any number of
 /// dashboard worker threads concurrently. Entries are immutable once
-/// admitted and handed out as shared_ptr, so a reader keeps its cube alive
+/// admitted and handed out as shared_ptr, so a reader keeps its blob alive
 /// even if an LRU eviction or InvalidateRange drops the entry mid-read.
 /// Warm() pins one catalog snapshot and preloads against it without
 /// blocking readers or writers (its reads charge the pager like any
 /// query's).
 ///
 /// MVCC validation: every entry remembers the page its cube was read
-/// from. The page-taking Find/Contains/Insert overloads treat the page id
-/// as the entry's version: a lookup hits only when the caller's snapshot
-/// resolves the key to the same page, so a cube cached under a retired
-/// epoch can never serve a query pinned to a newer one (RebuildMonth
-/// always stages replacement cubes to fresh pages). Entries for untouched
-/// keys keep their page across publications and keep hitting — no blanket
-/// invalidation on epoch bumps. The page-less overloads skip validation
-/// (kInvalidPageId) for callers outside the query path.
+/// from, and lookups treat the page id as the entry's version: a lookup
+/// hits only when the caller's snapshot resolves the key to the same page,
+/// so a cube cached under a retired epoch can never serve a query pinned
+/// to a newer one (RebuildMonth always stages replacement cubes to fresh
+/// pages). Entries for untouched keys keep their page across publications
+/// and keep hitting — no blanket invalidation on epoch bumps.
 class CubeCache {
  public:
   explicit CubeCache(const CacheOptions& options);
@@ -100,54 +101,40 @@ class CubeCache {
   /// Preloads cubes per the configured policy against one pinned snapshot
   /// of `index`'s current version. For kRasedRecency/kAllDaily this
   /// performs the full static prefetch; for kLru it is a no-op (the cache
-  /// fills on demand). Warm reads go through the index pager but are an
-  /// offline cost — callers typically reset pager stats afterwards.
-  /// Non-blocking: queries keep running (and hitting) while Warm refills.
+  /// fills on demand). Warm reads go through the index pager in bounded
+  /// batches but are an offline cost — callers typically reset pager
+  /// stats afterwards. Non-blocking: queries keep running (and hitting)
+  /// while Warm refills.
   Status Warm(const TemporalIndex* index) RASED_EXCLUDES(mu_);
 
-  /// Returns the cached cube or nullptr; counts a hit/miss. For kLru the
-  /// entry is refreshed. The returned pointer remains valid after eviction.
-  std::shared_ptr<const DataCube> Find(const CubeKey& key)
+  /// The hot-path lookup: the resident blob cached from `page` (the
+  /// caller's snapshot resolution of `key`), or nullptr. Counts a hit or
+  /// miss; for kLru a hit is refreshed. A page mismatch counts as a miss
+  /// and leaves the entry in place — a reader pinned to the entry's own
+  /// version can still hit it. The blob stays valid after eviction.
+  std::shared_ptr<const EncodedCube> FindEncoded(const CubeKey& key,
+                                                 PageId page)
       RASED_EXCLUDES(mu_);
 
-  /// Page-validated lookup: hits only if the entry was cached from
-  /// `page` (the caller's snapshot resolution of `key`). A mismatch counts
-  /// as a miss and leaves the entry in place — a reader pinned to the
-  /// entry's own version can still hit it.
+  /// The decoding lookup for callers outside the query path: FindEncoded,
+  /// then a fresh dense DataCube decoded from the blob (nullptr on a miss
+  /// or a corrupt blob). Every call pays a full decode; the query executor
+  /// never uses it.
   std::shared_ptr<const DataCube> Find(const CubeKey& key, PageId page)
       RASED_EXCLUDES(mu_);
 
-  /// Hands a cube fetched from disk to the cache. Only the kLru policy
-  /// admits it (the paper's static policy never changes at query time).
-  void Insert(const CubeKey& key, const DataCube& cube) RASED_EXCLUDES(mu_);
-
-  /// Move overload: adopts the cube without copying its cell array. The
-  /// query executor uses this to hand freshly fetched cubes over instead
-  /// of paying a deep copy per miss.
-  void Insert(const CubeKey& key, DataCube&& cube) RASED_EXCLUDES(mu_);
-
-  /// Page-carrying inserts: record the page the cube was fetched from so
-  /// later page-validated lookups can hit it. These overloads measure the
-  /// cube's encoded size themselves (one encode pass); callers that
-  /// already know it use the sized overload below.
-  void Insert(const CubeKey& key, PageId page, const DataCube& cube)
-      RASED_EXCLUDES(mu_);
-  void Insert(const CubeKey& key, PageId page, DataCube&& cube)
-      RASED_EXCLUDES(mu_);
-
-  /// Sized insert: `encoded_bytes` is the cube's exact serialized length
-  /// (the catalog's blob_bytes — what the byte budget charges). The query
-  /// executor uses this to admit misses without re-encoding.
-  void Insert(const CubeKey& key, PageId page, uint64_t encoded_bytes,
-              DataCube&& cube) RASED_EXCLUDES(mu_);
+  /// Hands a blob fetched from `page` to the cache, in its resident form
+  /// (EncodedCubeBatch::Extract). Only the kLru policy admits it (the
+  /// paper's static policy never changes at query time); the entry is
+  /// charged EntryBytes of its body.
+  void Insert(const CubeKey& key, PageId page,
+              std::shared_ptr<const EncodedCube> cube) RASED_EXCLUDES(mu_);
 
   /// Whether Insert can ever admit (true only for kLru). Lets the executor
-  /// skip materializing cache copies entirely under the static policies.
+  /// skip extracting cache copies entirely under the static policies.
   bool AdmitsOnQuery() const {
     return options_.policy == CachePolicy::kLru;
   }
-
-  bool Contains(const CubeKey& key) const RASED_EXCLUDES(mu_);
 
   /// Page-validated membership test (the optimizer's IsCached probe).
   bool Contains(const CubeKey& key, PageId page) const RASED_EXCLUDES(mu_);
@@ -158,24 +145,30 @@ class CubeCache {
   /// the freed slots. In-flight readers holding shared_ptrs are unharmed.
   void InvalidateRange(const DateRange& range) RASED_EXCLUDES(mu_);
 
+  /// Heap bytes one entry holding a `body_bytes` resident body charges:
+  /// the body's 8-byte words, plus the shared EncodedCube with its
+  /// control block, the hash-map node and bucket slot, and an LRU list
+  /// node (libstdc++ layouts; static-policy entries are overcharged by
+  /// that one list node).
+  static uint64_t EntryBytes(size_t body_bytes);
+
   size_t size() const RASED_EXCLUDES(mu_);
-  /// Encoded bytes currently charged against the budget.
+  /// Resident bytes currently charged against the budget.
   uint64_t bytes_used() const RASED_EXCLUDES(mu_);
-  uint64_t budget_bytes() const { return options_.byte_budget; }
   const CacheOptions& options() const { return options_; }
   CacheStats stats() const RASED_EXCLUDES(mu_);
-  void ResetStats() RASED_EXCLUDES(mu_);
   void Clear() RASED_EXCLUDES(mu_);
 
  private:
-  void AdmitLru(const CubeKey& key, PageId page, uint64_t bytes,
-                std::shared_ptr<const DataCube> cube) RASED_REQUIRES(mu_);
-  /// Preloads the newest cubes of `level` that fit in `max_bytes` of
-  /// encoded size. Selection is pure catalog metadata (no I/O needed to
+  /// Stores `cube` under `key`, replacing any entry there and evicting
+  /// least-recently-used entries until `bytes` fits.
+  void Admit(const CubeKey& key, PageId page, uint64_t bytes,
+             std::shared_ptr<const EncodedCube> cube) RASED_REQUIRES(mu_);
+  /// Preloads the newest cubes of `level` whose resident entries fit in
+  /// `max_bytes`. Selection is pure catalog metadata (no I/O needed to
   /// decide what fits); only the selected cubes are read.
   void Preload(const TemporalIndex* index, const CatalogSnapshot& snapshot,
                Level level, uint64_t max_bytes) RASED_EXCLUDES(mu_);
-  void ClearLocked() RASED_REQUIRES(mu_);
 
   const CacheOptions options_;  // immutable after construction
 
@@ -190,13 +183,13 @@ class CubeCache {
     Counter* evictions = nullptr;
     Counter* preloads = nullptr;
     Gauge* resident = nullptr;        // cubes
-    Gauge* resident_bytes = nullptr;  // encoded bytes charged
+    Gauge* resident_bytes = nullptr;  // resident bytes charged
     Gauge* budget_bytes = nullptr;    // configured byte budget
   };
   CacheMetrics metrics_ RASED_CONST_AFTER_INIT;
 
   /// Guards every mutable member below. Held only for map/list surgery,
-  /// never across index I/O (Preload reads the cube first, then locks to
+  /// never across index I/O (Preload reads a batch first, then locks to
   /// admit it), so worker threads contend only on pointer-sized critical
   /// sections.
   mutable Mutex mu_;
@@ -204,16 +197,16 @@ class CubeCache {
   CacheStats stats_ RASED_GUARDED_BY(mu_);
 
   // Entry storage. lru_list_ is maintained only under the kLru policy.
-  // Cubes are shared_ptr<const> so hits escape the lock safely.
+  // Blobs are shared_ptr<const> so hits escape the lock safely.
   struct Entry {
-    std::shared_ptr<const DataCube> cube;
+    std::shared_ptr<const EncodedCube> cube;
     /// Page the cube was read from — the entry's version for MVCC
-    /// validation. kInvalidPageId marks unvalidated (page-less) inserts.
+    /// validation.
     PageId page = kInvalidPageId;
-    /// Encoded bytes this entry charges against the byte budget.
+    /// Resident bytes this entry charges against the byte budget.
     uint64_t bytes = 0;
+    /// Position in lru_list_ (kLru only; every kLru entry has one).
     std::list<CubeKey>::iterator lru_it;
-    bool in_lru = false;
   };
   std::unordered_map<CubeKey, Entry, CubeKeyHash> entries_
       RASED_GUARDED_BY(mu_);

@@ -78,6 +78,9 @@ commands:
                   [top=20] [format=table|folded]
                   (folded output pipes into flamegraph.pl or speedscope)
   help          show this message
+
+ingest-*, query, sample, sync, stats, metrics and serve also take
+  [cache_mb=N (cube cache budget in MiB, default 2048)] [device_us=N]
 )";
 
 int Fail(const Status& status) {
@@ -95,16 +98,11 @@ Result<std::unique_ptr<Rased>> OpenInstance(const Config& config,
   std::string dir = config.GetString("dir", "");
   if (dir.empty()) return Status::InvalidArgument("dir= is required");
   RASED_ASSIGN_OR_RETURN(RasedOptions options, Rased::LoadOptions(dir));
-  // Cache size is a byte budget. cache_mb= sets it directly; the
-  // historical cache_slots= (a dense-cube count) is still honored so old
-  // scripts keep working.
+  // Cache size is a budget of resident bytes; the default is the paper's
+  // 2 GiB (CacheOptions).
   if (config.Has("cache_mb")) {
     options.cache.byte_budget =
-        static_cast<uint64_t>(config.GetInt("cache_mb", 2048)) << 20;
-  } else {
-    options.cache.byte_budget = CacheOptions::BytesForCubes(
-        static_cast<size_t>(config.GetInt("cache_slots", 512)),
-        options.schema);
+        static_cast<uint64_t>(config.GetInt("cache_mb", 0)) << 20;
   }
   options.device.read_latency_us = config.GetInt("device_us", 0);
   options.device.write_latency_us = options.device.read_latency_us;

@@ -42,20 +42,14 @@ uint64_t LoadLe64(const unsigned char* p) {
 // LEB128 varints and zigzag live in util/varint.h (hoisted from this file
 // so obs/timeseries.cc can delta-encode metric snapshots the same way).
 
-// --- Packed GROUP BY lookup tables ----------------------------------------
+// --- Packed GROUP BY lookup tables (SliceLuts) ----------------------------
+
+/// Slot table entry for a coordinate the slice filters out.
+constexpr int64_t kExcludedSlot = -1;
 
 /// Per-dimension table mapping a coordinate value to its packed
 /// accumulator-slot contribution, or kExcludedSlot when the slice filters
-/// the value out. Strides mirror SumSliceIntoImpl exactly (row-major over
-/// grouped dims in schema order, update_type innermost), so streaming
-/// encoded cells through these tables is bit-for-bit the dense kernel's
-/// result. Assumes the slice is Normalize()d (selections deduplicated),
-/// the same contract the dense path relies on.
-struct SliceLuts {
-  static constexpr int64_t kExcludedSlot = -1;
-  std::vector<int64_t> et, co, rt, ut;
-};
-
+/// the value out.
 void BuildDimLut(std::vector<int64_t>* lut, const std::vector<uint32_t>& sel,
                  uint32_t dim_size, size_t stride) {
   if (sel.empty()) {
@@ -65,14 +59,29 @@ void BuildDimLut(std::vector<int64_t>* lut, const std::vector<uint32_t>& sel,
     }
     return;
   }
-  lut->assign(dim_size, SliceLuts::kExcludedSlot);
+  lut->assign(dim_size, kExcludedSlot);
   for (uint32_t v : sel) {
     if (v < dim_size) (*lut)[v] = static_cast<int64_t>(stride * v);
   }
 }
 
-void BuildSliceLuts(const CubeSchema& schema, const CubeSlice& slice,
-                    const GroupBySpec& spec, SliceLuts* luts) {
+/// The table of two dimensions' tables over (a, b), row-major.
+std::vector<int64_t> PairLut(const std::vector<int64_t>& a,
+                             const std::vector<int64_t>& b) {
+  std::vector<int64_t> pair(a.size() * b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < b.size(); ++j) {
+      pair[i * b.size() + j] = (a[i] | b[j]) < 0 ? kExcludedSlot : a[i] + b[j];
+    }
+  }
+  return pair;
+}
+
+}  // namespace
+
+SliceLuts::SliceLuts(const CubeSchema& schema, const CubeSlice& slice,
+                     const GroupBySpec& spec)
+    : schema(&schema), slice(&slice), spec(spec) {
   size_t unit = 1;
   size_t s_ut = 0, s_rt = 0, s_co = 0, s_et = 0;
   if (spec.update_type) {
@@ -90,11 +99,16 @@ void BuildSliceLuts(const CubeSchema& schema, const CubeSlice& slice,
   if (spec.element_type) {
     s_et = unit;
   }
-  BuildDimLut(&luts->et, slice.element_types, schema.num_element_types, s_et);
-  BuildDimLut(&luts->co, slice.countries, schema.num_countries, s_co);
-  BuildDimLut(&luts->rt, slice.road_types, schema.num_road_types, s_rt);
-  BuildDimLut(&luts->ut, slice.update_types, schema.num_update_types, s_ut);
+  std::vector<int64_t> et, co, rt, ut;
+  BuildDimLut(&et, slice.element_types, schema.num_element_types, s_et);
+  BuildDimLut(&co, slice.countries, schema.num_countries, s_co);
+  BuildDimLut(&rt, slice.road_types, schema.num_road_types, s_rt);
+  BuildDimLut(&ut, slice.update_types, schema.num_update_types, s_ut);
+  outer = PairLut(et, co);
+  inner = PairLut(rt, ut);
 }
+
+namespace {
 
 // --- Per-encoding body builders -------------------------------------------
 
@@ -123,49 +137,57 @@ void BuildDeltaBody(const std::vector<uint64_t>& cells,
 
 // --- Per-encoding accumulate / decode cores -------------------------------
 
-/// Decomposes linear index `idx` and adds `value` into `acc` through the
-/// LUTs. Returns false when any dimension is filtered out.
-inline void AccumulateCell(const SliceLuts& luts, uint64_t idx, uint64_t value,
-                           uint32_t num_update_types, uint32_t num_road_types,
-                           uint32_t num_countries, uint64_t* acc) {
-  const uint64_t ut = idx % num_update_types;
-  uint64_t rest = idx / num_update_types;
-  const uint64_t rt = rest % num_road_types;
-  rest /= num_road_types;
-  const uint64_t co = rest % num_countries;
-  const uint64_t et = rest / num_countries;
-  const int64_t g_ut = luts.ut[ut];
-  const int64_t g_rt = luts.rt[rt];
-  const int64_t g_co = luts.co[co];
-  const int64_t g_et = luts.et[et];
-  if ((g_ut | g_rt | g_co | g_et) < 0) return;  // some dim filtered out
-  acc[g_et + g_co + g_rt + g_ut] += value;
+/// GetVarint for the per-cell loops: one-byte values (most gaps, counts
+/// and deltas) are read inline, and the result is a bool, so no Status is
+/// built per cell. Together that halves a sparse body's decode time.
+inline bool ReadCellVarint(const unsigned char** p, const unsigned char* end,
+                           uint64_t* v) {
+  if (*p != end && **p < 0x80) {
+    *v = *(*p)++;
+    return true;
+  }
+  return GetVarint(p, end, v).ok();
 }
 
-Status AccumulateSparse(const CubeSchema& schema, const unsigned char* body,
-                        size_t body_bytes, const SliceLuts& luts,
-                        uint64_t* acc) {
+Status AccumulateSparse(const SliceLuts& luts, const unsigned char* body,
+                        size_t body_bytes, uint64_t* acc) {
   const unsigned char* p = body;
   const unsigned char* end = body + body_bytes;
-  const uint64_t num_cells = schema.num_cells();
+  const uint64_t num_cells = luts.schema->num_cells();
+  const uint64_t inner_size = luts.inner.size();
   uint64_t nnz = 0;
   RASED_RETURN_IF_ERROR(GetVarint(&p, end, &nnz));
   if (nnz > num_cells) {
     return Status::Corruption("sparse cube nnz exceeds cell count");
   }
+  // The next index an entry may use, both as a count and split into the
+  // halves the slot tables are indexed by (outer * inner_size + inner),
+  // kept in step so no cell costs a division.
   uint64_t next_min = 0;
+  uint64_t outer = 0, inner = 0;
   for (uint64_t i = 0; i < nnz; ++i) {
     uint64_t gap = 0;
     uint64_t value = 0;
-    RASED_RETURN_IF_ERROR(GetVarint(&p, end, &gap));
-    RASED_RETURN_IF_ERROR(GetVarint(&p, end, &value));
+    if (!ReadCellVarint(&p, end, &gap) || !ReadCellVarint(&p, end, &value)) {
+      return Status::Corruption("bad varint in sparse cube body");
+    }
     if (gap >= num_cells || next_min + gap >= num_cells) {
       return Status::Corruption("sparse cube coordinate out of range");
     }
-    const uint64_t idx = next_min + gap;
-    next_min = idx + 1;
-    AccumulateCell(luts, idx, value, schema.num_update_types,
-                   schema.num_road_types, schema.num_countries, acc);
+    // Carrying gap into the halves loops at most once per outer row over
+    // the whole body, since every index stays below num_cells.
+    inner += gap;
+    while (inner >= inner_size) {
+      inner -= inner_size;
+      ++outer;
+    }
+    const int64_t slot_a = luts.outer[outer], slot_b = luts.inner[inner];
+    if ((slot_a | slot_b) >= 0) acc[slot_a + slot_b] += value;  // not filtered
+    next_min += gap + 1;
+    if (++inner == inner_size) {
+      inner = 0;
+      ++outer;
+    }
   }
   if (p != end) {
     return Status::Corruption("trailing bytes after sparse cube body");
@@ -173,20 +195,20 @@ Status AccumulateSparse(const CubeSchema& schema, const unsigned char* body,
   return Status::OK();
 }
 
-Status AccumulateDelta(const CubeSchema& schema, const unsigned char* body,
-                       size_t body_bytes, const SliceLuts& luts,
-                       uint64_t* acc) {
+Status AccumulateDelta(const SliceLuts& luts, const unsigned char* body,
+                       size_t body_bytes, uint64_t* acc) {
   const unsigned char* p = body;
   const unsigned char* end = body + body_bytes;
-  const uint64_t num_cells = schema.num_cells();
   uint64_t cell = 0;  // running value; deltas accumulate mod 2^64
-  for (uint64_t idx = 0; idx < num_cells; ++idx) {
-    uint64_t z = 0;
-    RASED_RETURN_IF_ERROR(GetVarint(&p, end, &z));
-    cell += ZigzagDecode(z);
-    if (cell != 0) {
-      AccumulateCell(luts, idx, cell, schema.num_update_types,
-                     schema.num_road_types, schema.num_countries, acc);
+  for (uint64_t outer = 0; outer < luts.outer.size(); ++outer) {
+    for (uint64_t inner = 0; inner < luts.inner.size(); ++inner) {
+      uint64_t z = 0;
+      if (!ReadCellVarint(&p, end, &z)) {
+        return Status::Corruption("bad varint in delta cube body");
+      }
+      cell += ZigzagDecode(z);
+      const int64_t slot_a = luts.outer[outer], slot_b = luts.inner[inner];
+      if (cell != 0 && (slot_a | slot_b) >= 0) acc[slot_a + slot_b] += cell;
     }
   }
   if (p != end) {
@@ -265,19 +287,17 @@ Result<CubeBlobHeader> CubeBlobHeader::Parse(const unsigned char* data,
   return header;
 }
 
-Status AccumulateEncodedSlice(const CubeSchema& schema, CubeEncoding encoding,
+Status AccumulateEncodedSlice(const SliceLuts& luts, CubeEncoding encoding,
                               const unsigned char* body, size_t body_bytes,
-                              const CubeSlice& slice, const GroupBySpec& spec,
                               uint64_t* acc) {
   if (encoding == CubeEncoding::kDenseRaw) {
-    return AccumulateDense(schema, body, body_bytes, slice, spec, acc);
+    return AccumulateDense(*luts.schema, body, body_bytes, *luts.slice,
+                           luts.spec, acc);
   }
-  SliceLuts luts;
-  BuildSliceLuts(schema, slice, spec, &luts);
   if (encoding == CubeEncoding::kSparseCoo) {
-    return AccumulateSparse(schema, body, body_bytes, luts, acc);
+    return AccumulateSparse(luts, body, body_bytes, acc);
   }
-  return AccumulateDelta(schema, body, body_bytes, luts, acc);
+  return AccumulateDelta(luts, body, body_bytes, acc);
 }
 
 Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
@@ -297,8 +317,8 @@ Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
   CubeSlice all;
   GroupBySpec every{/*element_type=*/true, /*country=*/true,
                     /*road_type=*/true, /*update_type=*/true};
-  RASED_RETURN_IF_ERROR(AccumulateEncodedSlice(schema, encoding, body,
-                                               body_bytes, all, every,
+  RASED_RETURN_IF_ERROR(AccumulateEncodedSlice(SliceLuts(schema, all, every),
+                                               encoding, body, body_bytes,
                                                cells.data()));
   return DataCube::FromCells(schema, cells.data());
 }
@@ -408,9 +428,9 @@ Status EncodedCubeBatch::AccumulateSlice(size_t i, const CubeSlice& slice,
     return Status::InvalidArgument("cube batch slot not bound");
   }
   const Slot& slot = slots_[i];
-  return AccumulateEncodedSlice(schema_, slot.encoding, arena() +
-                                slot.body_offset, slot.body_bytes, slice,
-                                spec, acc);
+  return AccumulateEncodedSlice(SliceLuts(schema_, slice, spec), slot.encoding,
+                                arena() + slot.body_offset, slot.body_bytes,
+                                acc);
 }
 
 Result<DataCube> EncodedCubeBatch::Decode(size_t i) const {
@@ -420,6 +440,27 @@ Result<DataCube> EncodedCubeBatch::Decode(size_t i) const {
   const Slot& slot = slots_[i];
   return DecodeEncodedCube(schema_, slot.encoding, arena() + slot.body_offset,
                            slot.body_bytes);
+}
+
+Result<std::shared_ptr<const EncodedCube>> EncodedCubeBatch::Extract(
+    size_t i) const {
+  if (i >= slots_.size() || !slots_[i].bound) {
+    return Status::InvalidArgument("cube batch slot not bound");
+  }
+  const Slot& slot = slots_[i];
+  if (slot.encoding == CubeEncoding::kDeltaVarint) {
+    RASED_ASSIGN_OR_RETURN(DataCube dense, Decode(i));
+    return std::make_shared<const EncodedCube>(
+        EncodedCube::Encode(dense, CubeEncodingPolicy::kForceDense));
+  }
+  auto cube = std::make_shared<EncodedCube>();
+  cube->schema_ = schema_;
+  cube->encoding_ = slot.encoding;
+  cube->words_.assign((slot.body_bytes + 7) / 8, 0);
+  std::memcpy(cube->words_.data(), arena() + slot.body_offset,
+              slot.body_bytes);
+  cube->body_bytes_ = slot.body_bytes;
+  return std::shared_ptr<const EncodedCube>(std::move(cube));
 }
 
 }  // namespace rased

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cube/cube_schema.h"
@@ -92,14 +93,33 @@ struct CubeBlobHeader {
   static Result<CubeBlobHeader> Parse(const unsigned char* data, size_t n);
 };
 
+/// The packed GROUP BY slot tables of one (schema, slice, group-by) that
+/// AccumulateEncodedSlice streams encoded cells through. `outer` maps the
+/// (element_type, country) half of a linear cell index, `inner` the
+/// (road_type, update_type) half, to its slot contribution, or -1 when the
+/// slice filters that half out; strides mirror SumSliceInto exactly.
+/// Building them costs two allocations, so a query builds one SliceLuts
+/// and folds every cube through it. Keeps pointers to `schema` and
+/// `slice`, which must outlive it; the slice must be Normalize()d, as for
+/// SumSliceInto.
+struct SliceLuts {
+  SliceLuts(const CubeSchema& schema, const CubeSlice& slice,
+            const GroupBySpec& spec);
+
+  const CubeSchema* schema;
+  const CubeSlice* slice;
+  GroupBySpec spec;
+  std::vector<int64_t> outer, inner;
+};
+
 /// Aggregates an encoded body straight into the flat packed GROUP BY
 /// accumulator `acc` (layout: GroupAccumulatorSize / SumSliceInto) without
 /// materializing a dense cube on the sparse paths. Bit-for-bit equal to
 /// decoding and running ConstCubeRef::SumSliceInto.
-Status AccumulateEncodedSlice(const CubeSchema& schema, CubeEncoding encoding,
+Status AccumulateEncodedSlice(const SliceLuts& luts, CubeEncoding encoding,
                               const unsigned char* body, size_t body_bytes,
-                              const CubeSlice& slice, const GroupBySpec& spec,
                               uint64_t* acc);
+
 
 /// Decodes an encoded body back to a dense cube.
 Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
@@ -107,7 +127,9 @@ Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
                                    const unsigned char* body,
                                    size_t body_bytes);
 
-/// One encoded cube: encoding tag + owned 8-byte-aligned body.
+/// One encoded cube: encoding tag + owned 8-byte-aligned body. This is
+/// also the only form a cube takes in the cache (cache/cube_cache.h):
+/// sparse COO or dense, as EncodedCubeBatch::Extract produces it.
 class EncodedCube {
  public:
   EncodedCube() = default;
@@ -125,8 +147,7 @@ class EncodedCube {
   }
   size_t body_bytes() const { return body_bytes_; }
 
-  /// Exact on-disk blob length: header + body. This is also the size a
-  /// byte-budgeted cache charges for the cube.
+  /// Exact on-disk blob length: header + body.
   size_t SerializedBytes() const {
     return CubeBlobHeader::kBytes + body_bytes_;
   }
@@ -134,17 +155,13 @@ class EncodedCube {
   /// Writes SerializedBytes() bytes (header then body) to `out`.
   void SerializeTo(unsigned char* out) const;
 
-  Status AccumulateSlice(const CubeSlice& slice, const GroupBySpec& spec,
-                         uint64_t* acc) const {
-    return AccumulateEncodedSlice(schema_, encoding_, body(), body_bytes_,
-                                  slice, spec, acc);
-  }
-
   Result<DataCube> Decode() const {
     return DecodeEncodedCube(schema_, encoding_, body(), body_bytes_);
   }
 
  private:
+  friend class EncodedCubeBatch;
+
   CubeSchema schema_;
   CubeEncoding encoding_ = CubeEncoding::kDenseRaw;
   std::vector<uint64_t> words_;  // body storage, 8-byte aligned
@@ -158,8 +175,9 @@ class EncodedCube {
 /// consecutive, so its blob lands contiguous), then binds each slot to its
 /// blob offset, validating the on-page header against the catalog's
 /// recorded encoding and length. Aggregation then streams each body into
-/// the accumulator without any dense materialization; Decode(i) is the
-/// escape hatch for callers that need the cube itself (cache admission).
+/// the accumulator without any dense materialization; Extract(i) copies a
+/// blob out for the cache, and Decode(i) is the escape hatch for callers
+/// that need the dense cube itself.
 ///
 /// Slot offsets are 8-byte aligned by construction: page payloads are a
 /// multiple of 8 and blobs start on page boundaries.
@@ -189,6 +207,9 @@ class EncodedCubeBatch {
   Status BindLegacyDense(size_t i, size_t offset);
 
   CubeEncoding encoding(size_t i) const { return slots_[i].encoding; }
+  const unsigned char* body(size_t i) const {
+    return arena() + slots_[i].body_offset;
+  }
   size_t body_bytes(size_t i) const { return slots_[i].body_bytes; }
 
   /// Streams cube `i` into the packed accumulator (see
@@ -198,6 +219,12 @@ class EncodedCubeBatch {
 
   /// Decodes cube `i` to a dense DataCube.
   Result<DataCube> Decode(size_t i) const;
+
+  /// Copies cube `i` out of the arena in its resident (cache) form. Sparse
+  /// COO and dense bodies are kept byte for byte; a delta-varint body is
+  /// decoded once to dense, because streaming delta at rollup densities is
+  /// ~20x slower than the dense kernel.
+  Result<std::shared_ptr<const EncodedCube>> Extract(size_t i) const;
 
  private:
   struct Slot {

@@ -364,6 +364,9 @@ Status Profiler::Start(const ProfilerOptions& options) {
       handler_installed_ = true;
     }
 
+    // Handles point into the registry this Start was given, or nowhere:
+    // an earlier run's registry may already be gone.
+    metrics_ = ProfilerMetrics{};
     if (options_.metrics != nullptr) {
       MetricsRegistry* registry = options_.metrics;
       metrics_.samples = registry->GetCounter(
@@ -385,6 +388,7 @@ Status Profiler::Start(const ProfilerOptions& options) {
       metrics_.threads = registry->GetGauge(
           "rased_profiler_threads_registered",
           "Threads currently registered for sampling");
+      metrics_.threads->Set(static_cast<int64_t>(entries_.size()));
     }
 
     ring_ = std::make_unique<ProfileWindowRing>(options_.window_byte_budget);
@@ -431,6 +435,10 @@ void Profiler::Stop() {
     collector->done = true;
   }
   collectors_.clear();
+  // Thread registration outlives the run; it must not touch a registry
+  // the caller may destroy once Stop returns (unless a new Start already
+  // installed its own handles while the reaper was joined).
+  if (active_refs_ == 0) metrics_ = ProfilerMetrics{};
 }
 
 bool Profiler::running() const {

@@ -139,7 +139,8 @@ class Profiler {
   Status Start(const ProfilerOptions& options);
 
   /// Decrements the refcount; the last Stop disarms every timer, joins
-  /// the reaper, and fails outstanding captures.
+  /// the reaper, fails outstanding captures, and drops its metric handles
+  /// (the run's registry may be destroyed once Stop returns).
   void Stop();
 
   bool running() const;

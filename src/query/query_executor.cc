@@ -139,12 +139,12 @@ Result<QueryResult> QueryExecutor::Execute(
   // ---- Phase 1: gather. Probe the cache for every planned cube up
   // front, then fetch all misses in ONE batched index read so physically
   // adjacent cube pages coalesce into single device operations. Cache
-  // hits are shared_ptrs, so each cube stays alive even if a concurrent
+  // hits are shared_ptrs, so each blob stays alive even if a concurrent
   // eviction drops it mid-aggregation; misses live in the batch's own
   // storage and are aggregated zero-copy. The batch read charges this
   // query's IoStats (result.stats.io), so concurrent queries account
   // their I/O independently and deterministically.
-  std::vector<std::shared_ptr<const DataCube>> hits(n);
+  std::vector<std::shared_ptr<const EncodedCube>> hits(n);
   std::vector<CubeKey> miss_keys;
   std::vector<PageId> miss_pages;
   for (size_t i = 0; i < n; ++i) {
@@ -153,7 +153,7 @@ Result<QueryResult> QueryExecutor::Execute(
     // snapshot, and the entry hits only if it was cached from the same
     // page — a stale cube from a retired epoch can never serve here.
     PageId page = snapshot.PageOf(key).value_or(kInvalidPageId);
-    if (cache_ != nullptr) hits[i] = cache_->Find(key, page);
+    if (cache_ != nullptr) hits[i] = cache_->FindEncoded(key, page);
     if (hits[i] != nullptr) {
       ++result.stats.cubes_from_cache;
     } else {
@@ -174,31 +174,28 @@ Result<QueryResult> QueryExecutor::Execute(
     }
     fetched = std::move(batch).value();
     if (cache_ != nullptr && cache_->AdmitsOnQuery()) {
-      // LRU only: decode a dense copy out of the batch and move it in —
-      // the one materialization cache residency requires, and no more.
-      // The source page rides along for later page-validated probes, and
-      // the catalog's encoded length is what the byte budget charges.
+      // LRU only: copy each blob out of the batch in its resident form
+      // and hand it over, with its source page for later page-validated
+      // probes.
       for (size_t j = 0; j < miss_keys.size(); ++j) {
-        auto cube = fetched.Decode(j);
-        if (!cube.ok()) {
+        auto blob = fetched.Extract(j);
+        if (!blob.ok()) {
           if (metrics_.errors != nullptr) metrics_.errors->Increment();
-          return cube.status();
+          return blob.status();
         }
-        uint64_t bytes = snapshot.EncodedBytesOf(miss_keys[j])
-                             .value_or(index_->options().schema.cube_bytes());
-        cache_->Insert(miss_keys[j], miss_pages[j], bytes,
-                       std::move(cube).value());
+        cache_->Insert(miss_keys[j], miss_pages[j], std::move(blob).value());
       }
     }
   }
   const int64_t t_fetched = NowMicros();
 
   // ---- Phase 2: aggregate. A flat dense accumulator indexed by the
-  // packed grouped coordinates replaces the former per-cell map: cubes
-  // fold in through the strided SumSliceInto kernel, and rows are read
-  // back out of non-zero slots. Packed slot order is row-major over the
-  // grouped dimensions in schema order, which is exactly the row order
-  // the old tuple-keyed std::map produced, so output order is unchanged.
+  // packed grouped coordinates replaces the former per-cell map: every
+  // cube, hit or miss, streams its encoded body in through
+  // AccumulateEncodedSlice, and rows are read back out of non-zero slots.
+  // Packed slot order is row-major over the grouped dimensions in schema
+  // order, which is exactly the row order the old tuple-keyed std::map
+  // produced, so output order is unchanged.
   const CubeSchema& schema = index_->options().schema;
   GroupBySpec spec;
   spec.element_type = query.group_element_type;
@@ -233,20 +230,19 @@ Result<QueryResult> QueryExecutor::Execute(
   using GroupKey = std::tuple<int32_t, int32_t, int32_t, int32_t, int32_t>;
   std::map<GroupKey, uint64_t> dated_groups;
 
+  const SliceLuts luts(schema, slice, spec);
   size_t next_miss = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (hits[i] != nullptr) {
-      // Cache hits are decoded cubes: the dense strided kernel applies.
-      hits[i]->View().SumSliceInto(slice, spec, acc.data());
-    } else {
-      // Misses stream their encoded bodies straight into the accumulator —
-      // sparse cubes never materialize a dense image on the hot path.
-      Status st =
-          fetched.AccumulateSlice(next_miss++, slice, spec, acc.data());
-      if (!st.ok()) {
-        if (metrics_.errors != nullptr) metrics_.errors->Increment();
-        return st;
-      }
+    // A hit's resident blob, or the miss's slot in the batch arena.
+    const bool hit = hits[i] != nullptr;
+    const size_t j = hit ? 0 : next_miss++;
+    Status st = AccumulateEncodedSlice(
+        luts, hit ? hits[i]->encoding() : fetched.encoding(j),
+        hit ? hits[i]->body() : fetched.body(j),
+        hit ? hits[i]->body_bytes() : fetched.body_bytes(j), acc.data());
+    if (!st.ok()) {
+      if (metrics_.errors != nullptr) metrics_.errors->Increment();
+      return st;
     }
     if (query.group_date) {
       int32_t date_key = plan.cubes[i].range().first.days_since_epoch();

@@ -24,11 +24,10 @@ enum class PlanMode {
 /// misses are fetched in one batched index read, so physically adjacent
 /// cube pages coalesce into single device operations. Phase 2 is pure
 /// in-memory aggregation into a flat dense GROUP BY accumulator indexed
-/// by packed group coordinates: cache hits (decoded cubes) fold in
-/// through the strided SumSliceInto kernel, while misses stream their
-/// encoded bodies (dense, sparse COO, or delta-varint) straight out of
-/// the batch arena — sparse cubes never materialize densely on the hot
-/// path.
+/// by packed group coordinates: every cube streams its encoded body
+/// through AccumulateEncodedSlice — a cache hit its resident blob (sparse
+/// COO or dense), a miss its slot in the batch arena — so sparse cubes
+/// never materialize densely on the hot path.
 ///
 /// Threading contract: the executor is stateless — Execute is const and
 /// safe from any number of threads concurrently. Each execution pins one

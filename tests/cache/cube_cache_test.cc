@@ -1,28 +1,49 @@
 #include "cache/cube_cache.h"
 
+#include <cstdlib>
+#include <limits>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "cube/cube_codec.h"
 #include "io/env.h"
+#include "obs/heap_stats.h"
+#include "util/random.h"
 
 namespace rased {
 namespace {
 
 CubeSchema TinySchema() { return CubeSchema{3, 8, 4, 4}; }
 
-/// Exact budget charge of one cube (what the catalog records and the
-/// byte-budgeted cache accounts).
-uint64_t EncodedBytes(const DataCube& cube) {
-  return EncodedCube::Encode(cube).SerializedBytes();
+/// A cube's blob as the cache would hold it.
+std::shared_ptr<const EncodedCube> Blob(
+    const DataCube& cube,
+    CubeEncodingPolicy policy = CubeEncodingPolicy::kAdaptive) {
+  return std::make_shared<const EncodedCube>(EncodedCube::Encode(cube, policy));
+}
+
+/// Exact budget charge of one cube's entry.
+uint64_t Charge(const DataCube& cube) {
+  return CubeCache::EntryBytes(Blob(cube)->body_bytes());
 }
 
 class CubeCacheTest : public ::testing::Test {
  protected:
   // Builds an index covering `days` days from 2021-01-01. Each daily cube
   // holds a single cell, so every cube stores sparse and tiny — the
-  // encoded sizes the byte budget meters are a few dozen bytes, not the
-  // multi-KB dense image.
+  // resident entries the byte budget meters are a few hundred bytes, not
+  // the multi-KB dense image.
   std::unique_ptr<TemporalIndex> BuildIndex(int days) {
+    return BuildIndexOf(days, [](int i) {
+      DataCube cube(TinySchema());
+      cube.Add(0, 0, 0, 0, static_cast<uint64_t>(i + 1));
+      return cube;
+    });
+  }
+
+  template <typename MakeDay>
+  std::unique_ptr<TemporalIndex> BuildIndexOf(int days, MakeDay make_day) {
     TemporalIndexOptions options;
     options.schema = TinySchema();
     options.num_levels = 4;
@@ -33,23 +54,42 @@ class CubeCacheTest : public ::testing::Test {
     EXPECT_TRUE(index.ok());
     Date d = Date::FromYmd(2021, 1, 1);
     for (int i = 0; i < days; ++i) {
-      DataCube cube(TinySchema());
-      cube.Add(0, 0, 0, 0, static_cast<uint64_t>(i + 1));
-      EXPECT_TRUE(index.value()->AppendDay(d, cube).ok());
+      EXPECT_TRUE(index.value()->AppendDay(d, make_day(i)).ok());
       d = d.next();
     }
     return std::move(index).value();
   }
 
-  // Sum of the catalog-recorded encoded sizes of the `n` newest cubes of
-  // `level` — the budget that admits exactly those cubes on preload.
+  // Resident charge of every cube of `level` in `snapshot`, newest `n`
+  // only — the budget that admits exactly those cubes on preload. A delta
+  // cube is resident dense; the others keep their encoded body.
   static uint64_t BytesForLatest(const CatalogSnapshot& snapshot, Level level,
                                  size_t n) {
     uint64_t total = 0;
     for (const CubeKey& key : snapshot.LatestKeys(level, n)) {
-      total += snapshot.EncodedBytesOf(key).value_or(0);
+      CubeLoc loc = snapshot.LocOf(key).value();
+      total += CubeCache::EntryBytes(
+          loc.encoding == CubeEncoding::kDeltaVarint
+              ? TinySchema().cube_bytes()
+              : loc.blob_bytes - CubeBlobHeader::kBytes);
     }
     return total;
+  }
+
+  static uint64_t BytesForAll(const CatalogSnapshot& snapshot) {
+    uint64_t total = 0;
+    for (int level = 0; level < kNumLevels; ++level) {
+      total += BytesForLatest(snapshot, static_cast<Level>(level),
+                              std::numeric_limits<size_t>::max());
+    }
+    return total;
+  }
+
+  // Page-validated membership against the index's current version.
+  static bool Cached(const CubeCache& cache, const TemporalIndex& index,
+                     const CubeKey& key) {
+    std::optional<PageId> page = index.Snapshot().PageOf(key);
+    return page.has_value() && cache.Contains(key, *page);
   }
 
   TempDir dir_{"cache-test"};
@@ -66,23 +106,27 @@ TEST_F(CubeCacheTest, RecencyPreloadSplitsByLevel) {
   ASSERT_TRUE(cache.Warm(index.get()).ok());
 
   // The most recent daily/weekly/monthly cubes must be resident.
-  EXPECT_TRUE(cache.Contains(CubeKey::Daily(Date::FromYmd(2021, 3, 31))));
-  EXPECT_TRUE(cache.Contains(CubeKey::Weekly(Date::FromYmd(2021, 3, 22))));
-  EXPECT_TRUE(cache.Contains(CubeKey::Monthly(Date::FromYmd(2021, 2, 1))));
+  EXPECT_TRUE(Cached(cache, *index, CubeKey::Daily(Date::FromYmd(2021, 3, 31))));
+  EXPECT_TRUE(
+      Cached(cache, *index, CubeKey::Weekly(Date::FromYmd(2021, 3, 22))));
+  EXPECT_TRUE(
+      Cached(cache, *index, CubeKey::Monthly(Date::FromYmd(2021, 2, 1))));
   EXPECT_LE(cache.bytes_used(), options.byte_budget);
 }
 
-TEST_F(CubeCacheTest, GenerousBudgetChargesCatalogEncodedBytes) {
+TEST_F(CubeCacheTest, GenerousBudgetChargesResidentBytes) {
   auto index = BuildIndex(45);
   IndexStorageStats stats = index->StorageStats();
   CacheOptions options;
-  options.byte_budget = stats.encoded_bytes * 4;  // room for everything
+  // Exactly room for everything.
+  options.byte_budget = BytesForAll(index->Snapshot());
   CubeCache cache(options);
   ASSERT_TRUE(cache.Warm(index.get()).ok());
-  // Every cube fits, and each entry is charged its exact catalog-recorded
-  // encoded length — residency totals mirror StorageStats.
+  // Every cube fits, and each entry is charged exactly its resident size
+  // — which for these sparse cubes is far above the catalog's blob bytes.
   EXPECT_EQ(cache.size(), stats.total_cubes);
-  EXPECT_EQ(cache.bytes_used(), stats.encoded_bytes);
+  EXPECT_EQ(cache.bytes_used(), options.byte_budget);
+  EXPECT_GT(cache.bytes_used(), stats.encoded_bytes);
 }
 
 TEST_F(CubeCacheTest, LeftoverBytesFallToDaily) {
@@ -92,7 +136,7 @@ TEST_F(CubeCacheTest, LeftoverBytesFallToDaily) {
   // Budget covers the whole index, but theta hands half of it to yearly
   // cubes — and none exist. Only if the unused yearly (and surplus
   // weekly/monthly) bytes fall through to daily can everything load.
-  options.byte_budget = stats.encoded_bytes;
+  options.byte_budget = BytesForAll(index->Snapshot());
   options.theta = 0.5;
   options.alpha = 0.2;
   options.beta = 0.2;
@@ -113,8 +157,12 @@ TEST_F(CubeCacheTest, FindCountsHitsAndMisses) {
   CubeCache cache(options);
   ASSERT_TRUE(cache.Warm(index.get()).ok());
 
-  EXPECT_NE(cache.Find(CubeKey::Daily(Date::FromYmd(2021, 1, 30))), nullptr);
-  EXPECT_EQ(cache.Find(CubeKey::Daily(Date::FromYmd(2021, 1, 1))), nullptr);
+  CubeKey newest = CubeKey::Daily(Date::FromYmd(2021, 1, 30));
+  CubeKey oldest = CubeKey::Daily(Date::FromYmd(2021, 1, 1));
+  EXPECT_NE(cache.FindEncoded(newest, snapshot.PageOf(newest).value()),
+            nullptr);
+  EXPECT_EQ(cache.FindEncoded(oldest, snapshot.PageOf(oldest).value()),
+            nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -126,8 +174,14 @@ TEST_F(CubeCacheTest, CachedCubesHaveCorrectContents) {
   options.policy = CachePolicy::kAllDaily;
   CubeCache cache(options);
   ASSERT_TRUE(cache.Warm(index.get()).ok());
-  std::shared_ptr<const DataCube> cube =
-      cache.Find(CubeKey::Daily(Date::FromYmd(2021, 1, 30)));
+  CubeKey key = CubeKey::Daily(Date::FromYmd(2021, 1, 30));
+  PageId page = index->Snapshot().PageOf(key).value();
+  // The resident form is the sparse blob as read...
+  std::shared_ptr<const EncodedCube> blob = cache.FindEncoded(key, page);
+  ASSERT_NE(blob, nullptr);
+  EXPECT_EQ(blob->encoding(), CubeEncoding::kSparseCoo);
+  // ...and the decoding lookup rebuilds the cube from it.
+  std::shared_ptr<const DataCube> cube = cache.Find(key, page);
   ASSERT_NE(cube, nullptr);
   EXPECT_EQ(cube->Total(), 30u);  // day 30's cube value
 }
@@ -141,32 +195,33 @@ TEST_F(CubeCacheTest, StaticPolicyIgnoresInsert) {
   ASSERT_TRUE(cache.Warm(index.get()).ok());
   size_t before = cache.size();
   DataCube cube(TinySchema());
-  cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1)), cube);
+  cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1)), kInvalidPageId,
+               Blob(cube));
   EXPECT_EQ(cache.size(), before);
 }
 
 TEST_F(CubeCacheTest, LruAdmitsAndEvictsByBytes) {
   DataCube cube(TinySchema());
   CacheOptions options;
-  // Room for exactly two of this cube's encoded images.
-  options.byte_budget = 2 * EncodedBytes(cube);
+  // Room for exactly two of this cube's entries.
+  options.byte_budget = 2 * Charge(cube);
   options.policy = CachePolicy::kLru;
   CubeCache cache(options);
 
   CubeKey k1 = CubeKey::Daily(Date::FromYmd(2021, 1, 1));
   CubeKey k2 = CubeKey::Daily(Date::FromYmd(2021, 1, 2));
   CubeKey k3 = CubeKey::Daily(Date::FromYmd(2021, 1, 3));
-  cache.Insert(k1, cube);
-  cache.Insert(k2, cube);
+  cache.Insert(k1, kInvalidPageId, Blob(cube));
+  cache.Insert(k2, kInvalidPageId, Blob(cube));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.bytes_used(), options.byte_budget);
   // Touch k1 so k2 is the LRU victim.
-  EXPECT_NE(cache.Find(k1), nullptr);
-  cache.Insert(k3, cube);
+  EXPECT_NE(cache.FindEncoded(k1, kInvalidPageId), nullptr);
+  cache.Insert(k3, kInvalidPageId, Blob(cube));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Contains(k1));
-  EXPECT_FALSE(cache.Contains(k2));
-  EXPECT_TRUE(cache.Contains(k3));
+  EXPECT_TRUE(cache.Contains(k1, kInvalidPageId));
+  EXPECT_FALSE(cache.Contains(k2, kInvalidPageId));
+  EXPECT_TRUE(cache.Contains(k3, kInvalidPageId));
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.bytes_used(), options.byte_budget);
 }
@@ -178,8 +233,9 @@ TEST_F(CubeCacheTest, LruEvictsMultipleSmallEntriesForOneLarge) {
   for (uint32_t c = 0; c < TinySchema().num_cells(); ++c) {
     dense.Add((c / 128) % 3, (c / 16) % 8, (c / 4) % 4, c % 4, 1000000 + c);
   }
-  const uint64_t sparse_bytes = EncodedBytes(sparse);
-  const uint64_t dense_bytes = EncodedBytes(dense);
+  auto dense_blob = Blob(dense, CubeEncodingPolicy::kForceDense);
+  const uint64_t sparse_bytes = Charge(sparse);
+  const uint64_t dense_bytes = CubeCache::EntryBytes(dense_blob->body_bytes());
   ASSERT_GT(dense_bytes, 3 * sparse_bytes);
 
   CacheOptions options;
@@ -188,13 +244,14 @@ TEST_F(CubeCacheTest, LruEvictsMultipleSmallEntriesForOneLarge) {
   CubeCache cache(options);
   for (int i = 0; i < 4; ++i) {
     cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1 + i)),
-                 DataCube(sparse));
+                 kInvalidPageId, Blob(sparse));
   }
   ASSERT_EQ(cache.size(), 4u);
   // One large admission must displace as many small victims as its size
   // requires, never overshooting the budget.
-  cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 2, 1)), DataCube(dense));
-  EXPECT_TRUE(cache.Contains(CubeKey::Daily(Date::FromYmd(2021, 2, 1))));
+  CubeKey large = CubeKey::Daily(Date::FromYmd(2021, 2, 1));
+  cache.Insert(large, kInvalidPageId, dense_blob);
+  EXPECT_TRUE(cache.Contains(large, kInvalidPageId));
   EXPECT_LE(cache.bytes_used(), options.byte_budget);
   EXPECT_LT(cache.size(), 5u);
 }
@@ -203,29 +260,46 @@ TEST_F(CubeCacheTest, LruNeverAdmitsCubeLargerThanBudget) {
   DataCube cube(TinySchema());
   cube.Add(0, 0, 0, 0, 5);
   CacheOptions options;
-  options.byte_budget = EncodedBytes(cube) - 1;
+  options.byte_budget = Charge(cube) - 1;
   options.policy = CachePolicy::kLru;
   CubeCache cache(options);
-  cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1)), cube);
+  cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1)), kInvalidPageId,
+               Blob(cube));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
-TEST_F(CubeCacheTest, SizedInsertChargesCallerBytes) {
+TEST_F(CubeCacheTest, InsertChargesEntryBytes) {
+  DataCube sparse(TinySchema());
+  sparse.Add(1, 2, 3, 0, 9);
+  DataCube full(TinySchema());
+  for (uint32_t c = 0; c < TinySchema().num_cells(); ++c) {
+    full.Add((c / 128) % 3, (c / 16) % 8, (c / 4) % 4, c % 4, 1);
+  }
+  auto sparse_blob = Blob(sparse);
+  auto dense_blob = Blob(full, CubeEncodingPolicy::kForceDense);
   CacheOptions options;
-  options.byte_budget = 1000;
+  options.byte_budget = CubeCache::EntryBytes(sparse_blob->body_bytes()) +
+                        CubeCache::EntryBytes(dense_blob->body_bytes()) - 1;
   options.policy = CachePolicy::kLru;
   CubeCache cache(options);
-  DataCube cube(TinySchema());
-  // The sized overload trusts the caller's (catalog) length instead of
-  // re-encoding; the charge must be exactly what was passed.
+  // The charge is the entry's own heap: the body words plus a fixed
+  // per-entry overhead, whatever the blob's encoding.
   cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1)), kInvalidPageId,
-               640, DataCube(cube));
-  EXPECT_EQ(cache.bytes_used(), 640u);
+               sparse_blob);
+  EXPECT_EQ(cache.bytes_used(),
+            CubeCache::EntryBytes(sparse_blob->body_bytes()));
+  EXPECT_GT(cache.bytes_used(), sparse_blob->SerializedBytes());
+  EXPECT_EQ(CubeCache::EntryBytes(dense_blob->body_bytes()) -
+                CubeCache::EntryBytes(0),
+            TinySchema().cube_bytes());
+  // Over the budget by one byte next to the sparse entry: it evicts the
+  // sparse entry rather than overshooting.
   cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 2)), kInvalidPageId,
-               1001, DataCube(cube));  // over budget: rejected outright
+               dense_blob);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.bytes_used(), 640u);
+  EXPECT_EQ(cache.bytes_used(),
+            CubeCache::EntryBytes(dense_blob->body_bytes()));
 }
 
 TEST_F(CubeCacheTest, MoveInsertAdmitsWithoutCopy) {
@@ -236,15 +310,16 @@ TEST_F(CubeCacheTest, MoveInsertAdmitsWithoutCopy) {
 
   DataCube cube(TinySchema());
   cube.Add(1, 1, 1, 1, 7);
-  const uint64_t* cells_before = cube.cells().data();
+  std::shared_ptr<const EncodedCube> blob = Blob(cube);
+  const EncodedCube* before = blob.get();
   CubeKey key = CubeKey::Daily(Date::FromYmd(2021, 1, 1));
-  cache.Insert(key, std::move(cube));
+  cache.Insert(key, kInvalidPageId, std::move(blob));
 
-  // The cached entry adopted the original cell storage (no deep copy).
-  auto found = cache.Find(key);
+  // The cached entry is the handed-over blob itself (no copy).
+  auto found = cache.FindEncoded(key, kInvalidPageId);
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->cells().data(), cells_before);
-  EXPECT_EQ(found->Get(1, 1, 1, 1), 7u);
+  EXPECT_EQ(found.get(), before);
+  EXPECT_EQ(cache.Find(key, kInvalidPageId)->Get(1, 1, 1, 1), 7u);
 }
 
 TEST_F(CubeCacheTest, MoveInsertIgnoredUnderStaticPolicies) {
@@ -256,7 +331,7 @@ TEST_F(CubeCacheTest, MoveInsertIgnoredUnderStaticPolicies) {
 
   DataCube cube(TinySchema());
   CubeKey key = CubeKey::Daily(Date::FromYmd(2021, 1, 1));
-  cache.Insert(key, std::move(cube));
+  cache.Insert(key, kInvalidPageId, Blob(cube));
   EXPECT_EQ(cache.size(), 0u);
 
   CacheOptions lru = options;
@@ -273,21 +348,16 @@ TEST_F(CubeCacheTest, MoveInsertRefreshesExistingEntry) {
 
   DataCube v1(TinySchema());
   v1.Add(0, 0, 0, 0, 1);
-  cache.Insert(key, std::move(v1));
+  cache.Insert(key, kInvalidPageId, Blob(v1));
   DataCube v2(TinySchema());
   v2.Add(0, 0, 0, 0, 2);
-  uint64_t v2_bytes = 0;
-  {
-    DataCube probe(TinySchema());
-    probe.Add(0, 0, 0, 0, 2);
-    v2_bytes = EncodedBytes(probe);
-  }
-  cache.Insert(key, std::move(v2));
+  v2.Add(2, 7, 3, 3, 300);  // a longer body than v1's
+  cache.Insert(key, kInvalidPageId, Blob(v2));
 
   EXPECT_EQ(cache.size(), 1u);
   // A refresh replaces the old charge rather than stacking on top of it.
-  EXPECT_EQ(cache.bytes_used(), v2_bytes);
-  auto found = cache.Find(key);
+  EXPECT_EQ(cache.bytes_used(), Charge(v2));
+  auto found = cache.Find(key, kInvalidPageId);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->Get(0, 0, 0, 0), 2u);
 }
@@ -304,11 +374,25 @@ TEST_F(CubeCacheTest, LruWarmIsNoOp) {
 
 TEST_F(CubeCacheTest, BytesForCubes) {
   CubeSchema schema = TinySchema();
-  // Per-cube allotment is the dense image plus the blob header — the
-  // adaptive encoder's worst case — so N inserts always fit.
-  EXPECT_EQ(CacheOptions::BytesForCubes(10, schema),
-            10 * (schema.cube_bytes() + CubeBlobHeader::kBytes));
   EXPECT_EQ(CacheOptions::BytesForCubes(0, schema), 0u);
+  // Per-cube allotment is a dense entry — the largest resident form — so
+  // N inserts of any encoding always fit, and the (N+1)th dense one
+  // evicts.
+  CacheOptions options;
+  options.byte_budget = CacheOptions::BytesForCubes(3, schema);
+  options.policy = CachePolicy::kLru;
+  CubeCache cache(options);
+  DataCube cube(schema);
+  for (uint32_t c = 0; c < schema.num_cells(); ++c) {
+    cube.Add((c / 128) % 3, (c / 16) % 8, (c / 4) % 4, c % 4, c + 1);
+  }
+  for (int i = 0; i < 4; ++i) {
+    cache.Insert(CubeKey::Daily(Date::FromYmd(2021, 1, 1 + i)),
+                 kInvalidPageId, Blob(cube, CubeEncodingPolicy::kForceDense));
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.bytes_used(), options.byte_budget);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST_F(CubeCacheTest, ClearEmptiesEverything) {
@@ -326,9 +410,8 @@ TEST_F(CubeCacheTest, ClearEmptiesEverything) {
 
 TEST_F(CubeCacheTest, InvalidateRangeReleasesBytes) {
   auto index = BuildIndex(20);
-  IndexStorageStats stats = index->StorageStats();
   CacheOptions options;
-  options.byte_budget = stats.encoded_bytes * 2;
+  options.byte_budget = 2 * BytesForAll(index->Snapshot());
   CubeCache cache(options);
   ASSERT_TRUE(cache.Warm(index.get()).ok());
   uint64_t before = cache.bytes_used();
@@ -336,7 +419,62 @@ TEST_F(CubeCacheTest, InvalidateRangeReleasesBytes) {
   cache.InvalidateRange(
       DateRange(Date::FromYmd(2021, 1, 1), Date::FromYmd(2021, 1, 10)));
   EXPECT_LT(cache.bytes_used(), before);
-  EXPECT_EQ(cache.Find(CubeKey::Daily(Date::FromYmd(2021, 1, 5))), nullptr);
+  CubeKey key = CubeKey::Daily(Date::FromYmd(2021, 1, 5));
+  EXPECT_EQ(cache.FindEncoded(key, index->Snapshot().PageOf(key).value()),
+            nullptr);
+}
+
+// The budget is a true limit on memory: after Warm, the resident-bytes
+// gauge must match the heap the warm pass kept (allocated - freed, as the
+// allocator hooks measure it) within 5%, on an index mixing all three
+// encodings.
+TEST_F(CubeCacheTest, ResidentBytesGaugeMatchesWarmHeap) {
+  Rng rng(5);
+  auto index = BuildIndexOf(60, [&rng](int i) {
+    DataCube cube(TinySchema());
+    const CubeSchema schema = TinySchema();
+    if (i % 3 == 0) {  // one cell: sparse
+      cube.Add(0, 1, 2, 3, static_cast<uint64_t>(i + 1));
+      return cube;
+    }
+    for (uint32_t c = 0; c < schema.num_cells(); ++c) {
+      // Small counts compress to delta; full-width ones stay dense.
+      uint64_t value = i % 3 == 1 ? 1 + c % 3 : rng.Next();
+      cube.Add((c / 128) % 3, (c / 16) % 8, (c / 4) % 4, c % 4, value);
+    }
+    return cube;
+  });
+  CatalogSnapshot snapshot = index->Snapshot();
+  int per_encoding[3] = {0, 0, 0};
+  for (int level = 0; level < kNumLevels; ++level) {
+    for (const CubeKey& key : snapshot.LatestKeys(
+             static_cast<Level>(level), std::numeric_limits<size_t>::max())) {
+      ++per_encoding[static_cast<int>(snapshot.LocOf(key)->encoding)];
+    }
+  }
+  ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kSparseCoo)], 0);
+  ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kDeltaVarint)], 0);
+  ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kDenseRaw)], 0);
+
+  MetricsRegistry registry;
+  CacheOptions options;
+  options.byte_budget = BytesForAll(snapshot);
+  options.metrics = &registry;
+  CubeCache cache(options);
+  int64_t net_heap = 0;
+  {
+    ResourceScope scope;
+    ASSERT_TRUE(cache.Warm(index.get()).ok());
+    ResourceUsage usage = scope.Usage();
+    net_heap = static_cast<int64_t>(usage.allocated_bytes) -
+               static_cast<int64_t>(usage.freed_bytes);
+  }
+  ASSERT_EQ(cache.size(), index->StorageStats().total_cubes);
+  const int64_t gauge =
+      registry.GetGauge("rased_cache_resident_bytes", "")->value();
+  EXPECT_EQ(gauge, static_cast<int64_t>(cache.bytes_used()));
+  EXPECT_LE(std::llabs(gauge - net_heap), net_heap / 20)
+      << "gauge " << gauge << " vs net heap " << net_heap;
 }
 
 }  // namespace

@@ -205,9 +205,9 @@ TEST(CubeCodecTest, CorruptBodyFailsAccumulateToo) {
   GroupBySpec spec;
   spec.country = true;
   std::vector<uint64_t> acc(GroupAccumulatorSize(schema, spec), 0);
-  Status st =
-      AccumulateEncodedSlice(schema, encoded.encoding(), encoded.body(),
-                             encoded.body_bytes() - 1, slice, spec, acc.data());
+  Status st = AccumulateEncodedSlice(SliceLuts(schema, slice, spec),
+                                     encoded.encoding(), encoded.body(),
+                                     encoded.body_bytes() - 1, acc.data());
   EXPECT_FALSE(st.ok());
 }
 
@@ -233,7 +233,10 @@ TEST(CubeCodecTest, AccumulateSliceMatchesDenseKernel) {
       std::vector<uint64_t> want(slots, 0);
       cube.SumSliceInto(slice, spec, want.data());
       std::vector<uint64_t> got(slots, 0);
-      ASSERT_TRUE(encoded.AccumulateSlice(slice, spec, got.data()).ok());
+      ASSERT_TRUE(AccumulateEncodedSlice(SliceLuts(schema, slice, spec),
+                                         encoded.encoding(), encoded.body(),
+                                         encoded.body_bytes(), got.data())
+                      .ok());
       EXPECT_EQ(got, want) << CubeEncodingName(encoded.encoding())
                            << " density=" << density << " trial=" << trial;
     }

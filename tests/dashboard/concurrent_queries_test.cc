@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cube/cube_codec.h"
 #include "dashboard/dashboard_service.h"
 #include "test_helpers.h"
 #include "util/clock.h"
@@ -173,13 +174,20 @@ TEST_F(ConcurrentQueriesTest, ConcurrentIdenticalQueriesAgree) {
 // readers hold shared_ptrs across concurrent evictions and must never see
 // a dangling cube. This is the cache's documented threading contract.
 TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
+  CubeSchema schema = CubeSchema::BenchScale();
+  auto blob_for = [&schema](Date day) {
+    DataCube cube(schema);
+    cube.Add(0, 0, 0, 0, static_cast<uint64_t>(day.day()));
+    return std::make_shared<const EncodedCube>(EncodedCube::Encode(cube));
+  };
   CacheOptions options;
-  // Tiny budget — room for only a few sparse-encoded one-cell cubes — to
+  // Tiny budget — room for only three sparse-encoded one-cell cubes — to
   // force constant eviction.
-  options.byte_budget = 100;
+  options.byte_budget =
+      3 * CubeCache::EntryBytes(
+              blob_for(Date::FromYmd(2021, 1, 1))->body_bytes());
   options.policy = CachePolicy::kLru;
   CubeCache cache(options);
-  CubeSchema schema = CubeSchema::BenchScale();
 
   constexpr int kThreads = 8;
   constexpr int kDays = 16;
@@ -191,17 +199,18 @@ TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
       for (int i = 0; i < 200; ++i) {
         Date day = Date::FromYmd(2021, 1, 1 + (t + i) % kDays);
         CubeKey key = CubeKey::Daily(day);
-        std::shared_ptr<const DataCube> hit = cache.Find(key);
+        std::shared_ptr<const EncodedCube> hit =
+            cache.FindEncoded(key, kInvalidPageId);
         if (hit != nullptr) {
-          // The cube must stay readable even if another thread evicts it
+          // The blob must stay readable even if another thread evicts it
           // right now.
-          if (hit->Total() != static_cast<uint64_t>(day.day())) {
+          auto cube = hit->Decode();
+          if (!cube.ok() ||
+              cube.value().Total() != static_cast<uint64_t>(day.day())) {
             failed.store(true);
           }
         } else {
-          DataCube cube(schema);
-          cube.Add(0, 0, 0, 0, static_cast<uint64_t>(day.day()));
-          cache.Insert(key, cube);
+          cache.Insert(key, kInvalidPageId, blob_for(day));
         }
         if (i % 64 == 0) {
           cache.InvalidateRange(

@@ -182,6 +182,31 @@ TEST(ProfilerTest, StartIsRefcountedAndCollectFailsWhenStopped) {
   EXPECT_TRUE(report.status().IsFailedPrecondition());
 }
 
+// The last Stop drops the run's registry handles: threads registering
+// after the registry is gone must not write to it (ASan reports the
+// use-after-free otherwise), and the next run reports into its own.
+TEST(ProfilerTest, StopReleasesRegistryHandles) {
+  {
+    MetricsRegistry first;
+    ProfilerOptions options;
+    options.metrics = &first;
+    ASSERT_TRUE(Profiler::Global()->Start(options).ok());
+    Profiler::Global()->Stop();
+  }
+  std::thread([] { ProfilerThreadScope scope("profiler-test-late"); }).join();
+
+  MetricsRegistry second;
+  ProfilerOptions options;
+  options.metrics = &second;
+  ASSERT_TRUE(Profiler::Global()->Start(options).ok());
+  std::thread([] { ProfilerThreadScope scope("profiler-test-second"); })
+      .join();
+  EXPECT_NE(second.RenderPrometheus().find(
+                "rased_profiler_threads_registered"),
+            std::string::npos);
+  Profiler::Global()->Stop();
+}
+
 // The SIGPROF disposition is installed once and latched for the life of
 // the process — including across fork(). A child that inherits an armed
 // CPU timer but an unregistered TLS entry must survive a delivered signal

@@ -113,11 +113,14 @@ class HotpathIndexTest : public ::testing::Test {
     auto index = TemporalIndex::Create(options);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = std::move(index).value();
+    // Busy days store delta-varint, quiet ones sparse COO, so the batched
+    // reads and both cache-resident forms (dense, COO) all get exercised.
     Rng rng(77);
     for (int i = 0; i < kDays; ++i) {
-      ASSERT_TRUE(
-          index_->AppendDay(first_.AddDays(i), RandomCube(schema_, &rng))
-              .ok());
+      ASSERT_TRUE(index_
+                      ->AppendDay(first_.AddDays(i),
+                                  RandomCube(schema_, &rng, i % 2 ? 12 : 200))
+                      .ok());
     }
   }
 
@@ -226,7 +229,16 @@ std::map<GroupKey, uint64_t> NaiveExecute(const TemporalIndex& index,
 TEST_F(HotpathIndexTest, ExecutorMatchesNaiveReferenceOnRandomQueries) {
   WorldMap world(schema_.num_countries);
   QueryExecutor executor(index_.get(), nullptr, &world);
+  // The same queries again through an LRU cache holding every planned
+  // cube: hits take the resident blobs and must answer identically.
+  CacheOptions cache_options;
+  cache_options.policy = CachePolicy::kLru;
+  cache_options.byte_budget = uint64_t{1} << 40;
+  CubeCache cache(cache_options);
+  QueryExecutor cached(index_.get(), &cache, &world);
   Rng rng(47);
+  std::vector<AnalysisQuery> queries;
+  std::vector<QueryResult> uncached;
   for (int trial = 0; trial < 40; ++trial) {
     AnalysisQuery q;
     int start = static_cast<int>(rng.Uniform(kDays));
@@ -290,6 +302,34 @@ TEST_F(HotpathIndexTest, ExecutorMatchesNaiveReferenceOnRandomQueries) {
     EXPECT_LE(stats.io.read_ops, naive_stats.io.read_ops);
     EXPECT_LE(stats.io.simulated_device_micros,
               naive_stats.io.simulated_device_micros);
+
+    // Admits this query's cubes (extracted from the batch arena).
+    ASSERT_TRUE(cached.Execute(q).ok()) << q.ToString();
+    queries.push_back(q);
+    uncached.push_back(std::move(result).value());
+  }
+
+  // Every planned cube is resident now; no query may touch the disk.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto result = cached.Execute(queries[i]);
+    ASSERT_TRUE(result.ok()) << queries[i].ToString();
+    const QueryResult& want = uncached[i];
+    EXPECT_EQ(result.value().stats.io.page_reads, 0u) << queries[i].ToString();
+    EXPECT_EQ(result.value().stats.cubes_from_cache,
+              result.value().stats.cubes_total);
+    ASSERT_EQ(result.value().rows.size(), want.rows.size());
+    for (size_t r = 0; r < want.rows.size(); ++r) {
+      const ResultRow& got = result.value().rows[r];
+      EXPECT_EQ(got.element_type, want.rows[r].element_type);
+      EXPECT_EQ(got.has_date, want.rows[r].has_date);
+      if (got.has_date) {
+        EXPECT_EQ(got.date, want.rows[r].date);
+      }
+      EXPECT_EQ(got.country, want.rows[r].country);
+      EXPECT_EQ(got.road_type, want.rows[r].road_type);
+      EXPECT_EQ(got.update_type, want.rows[r].update_type);
+      EXPECT_EQ(got.count, want.rows[r].count) << queries[i].ToString();
+    }
   }
 }
 

@@ -8,23 +8,26 @@
 #      DESIGN.md section 9; zero unsuppressed findings required)
 #   4. shellcheck over the repo's shell scripts (skipped if absent)
 #   5. plain build + full ctest
-#   6. bench_concurrent_queries --quick (scaling/determinism smoke gate)
-#   7. bench_query_hotpath --quick (batched-I/O + kernel smoke gate;
+#   6. benchmark build: configure and build dashbench/ (which compiles
+#      ../src itself) and run its helper tests, so a src/ API change that
+#      breaks the benchmark fails here rather than at a benchmark run
+#   7. bench_concurrent_queries --quick (scaling/determinism smoke gate)
+#   8. bench_query_hotpath --quick (batched-I/O + kernel smoke gate;
 #      emits the BENCH_query_hotpath.json trajectory at the repo root)
-#   8. bench_ingest_vs_query --quick (MVCC publication smoke gate: reader
+#   9. bench_ingest_vs_query --quick (MVCC publication smoke gate: reader
 #      makespan within 10% of the no-ingest baseline while days publish,
 #      ingest within 25% of the exclusive baseline; emits the
 #      BENCH_mvcc_ingest.json trajectory at the repo root; never skips)
-#   9. bench_cube_compression --quick (adaptive-encoding smoke gate:
+#  10. bench_cube_compression --quick (adaptive-encoding smoke gate:
 #      bit-identical rows dense-vs-adaptive / batched-vs-serial /
 #      scalar-vs-AVX2, >= 3x bytes_read and page_reads reduction, warm
 #      makespan within 10% of dense; emits the BENCH_cube_compression.json
 #      trajectory at the repo root; never skips)
-#  10. bench_profiler --quick (always-on profiler smoke gate: <= 2%
+#  11. bench_profiler --quick (always-on profiler smoke gate: <= 2%
 #      process-CPU overhead at 99 Hz, < 1% sample drop rate, bit-identical
 #      query rows profiled vs not; emits the BENCH_profiler.json
 #      trajectory at the repo root; never skips)
-#  11. metrics smoke: boots a tiny synthetic instance, asserts the
+#  12. metrics smoke: boots a tiny synthetic instance, asserts the
 #      Prometheus exposition (rased metrics + live GET /metrics) covers
 #      every serving-path family and /api/trace returns spans, checks
 #      /healthz, /readyz (incl. the build object), /api/selfstats,
@@ -32,8 +35,8 @@
 #      renderer, gates the selfstats sampler (ring within byte budget,
 #      <= 1% duty cycle), and writes BENCH_metrics_smoke.json +
 #      BENCH_selfstats.json trajectories
-#  12. ASan+UBSan build + full ctest (deadlock detector enabled)
-#  13. TSan build + concurrency-focused ctest (dashboard/cache/collect/
+#  13. ASan+UBSan build + full ctest (deadlock detector enabled)
+#  14. TSan build + concurrency-focused ctest (dashboard/cache/collect/
 #      index/warehouse/hotpath/codec/kernel/observability/profiler
 #      suites)
 #
@@ -136,6 +139,21 @@ run_matrix_entry() {
 
 run_matrix_entry "plain" "${PREFIX}-plain" "" \
   -DRASED_WERROR=ON
+
+# ------------------------------------------------------- benchmark build --
+# The repository benchmark (BENCHMARK.json, dashbench/) is a standalone
+# CMake package that compiles ../src; build it and run its helper tests
+# so a src/ change that breaks the benchmark fails here. Never skips.
+note "dashbench build + helper tests"
+DASHBENCH_DIR="${PREFIX}-dashbench"
+if cmake -S dashbench -B "${DASHBENCH_DIR}" >/dev/null \
+    && cmake --build "${DASHBENCH_DIR}" -j "${JOBS}" \
+         --target dashbench dashbench_helpers_test >/dev/null \
+    && "${DASHBENCH_DIR}/dashbench_helpers_test" >/dev/null; then
+  pass "dashbench build + helper tests"
+else
+  fail "dashbench build or helper tests"
+fi
 
 # ------------------------------------------------------ concurrency smoke --
 # Quick mode of the worker-pool scaling bench: builds a small index in the
