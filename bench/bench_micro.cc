@@ -6,7 +6,6 @@
 
 #include "collect/daily_crawler.h"
 #include "cube/data_cube.h"
-#include "geo/rtree.h"
 #include "geo/world_map.h"
 #include "io/crc32c.h"
 #include "osm/osc.h"
@@ -131,38 +130,6 @@ void BM_ZoneLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ZoneLookup);
 
-void BM_RTreeInsert(benchmark::State& state) {
-  Rng rng(5);
-  for (auto _ : state) {
-    state.PauseTiming();
-    RTree tree(16);
-    state.ResumeTiming();
-    for (int i = 0; i < 1000; ++i) {
-      tree.Insert(LatLon{rng.NextDouble() * 100, rng.NextDouble() * 100},
-                  static_cast<uint64_t>(i));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_RTreeInsert);
-
-void BM_RTreeSearch(benchmark::State& state) {
-  RTree tree(16);
-  Rng rng(6);
-  for (int i = 0; i < 50000; ++i) {
-    tree.Insert(LatLon{rng.NextDouble() * 100, rng.NextDouble() * 100},
-                static_cast<uint64_t>(i));
-  }
-  for (auto _ : state) {
-    double lat = rng.NextDouble() * 95;
-    double lon = rng.NextDouble() * 95;
-    benchmark::DoNotOptimize(
-        tree.SearchIds(BoundingBox{lat, lon, lat + 5, lon + 5}));
-  }
-}
-BENCHMARK(BM_RTreeSearch);
-
 void BM_Crc32c(benchmark::State& state) {
   std::string data(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {
@@ -171,7 +138,18 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(196608);
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(8188)->Arg(196608);
+
+// The portable slice-by-8 twin Crc32c falls back to without SSE4.2.
+void BM_Crc32cPortable(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32cPortable(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(8188);
 
 void BM_DateRoundTrip(benchmark::State& state) {
   int32_t day = 0;

@@ -143,7 +143,8 @@ class Rased {
 
   Result<QueryResult> Query(const AnalysisQuery& query) const;
 
-  /// Sample update queries (Section IV-B); n defaults to the paper's 100.
+  /// Sample update queries (Section IV-B): the newest n matching updates,
+  /// newest first (see Warehouse); n defaults to the paper's 100, 0 = all.
   Result<std::vector<UpdateRecord>> SampleInBox(const BoundingBox& box,
                                                 size_t n = 100) const;
   Result<std::vector<UpdateRecord>> SampleByChangeset(

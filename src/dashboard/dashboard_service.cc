@@ -402,12 +402,21 @@ void DashboardService::HandleSample(const HttpRequest& request,
     }
     box = BoundingBox{min_lat.value(), min_lon.value(), max_lat.value(),
                       max_lon.value()};
-    size_t n = 100;
+    // The paper's default sample size; n=0 ("all") and anything larger
+    // are clamped to kMaxSampleRecords.
+    uint64_t n = 100;
     if (request.HasParam("n")) {
       auto parsed = ParseUint(request.Param("n"));
-      if (parsed.ok()) n = static_cast<size_t>(parsed.value());
+      if (!parsed.ok()) {
+        WriteError(Status::InvalidArgument(
+                       "bad sample size n: expected a non-negative integer"),
+                   response);
+        return;
+      }
+      n = parsed.value();
     }
-    samples = rased_->SampleInBox(box, n);
+    if (n == 0 || n > kMaxSampleRecords) n = kMaxSampleRecords;
+    samples = rased_->SampleInBox(box, static_cast<size_t>(n));
   } else {
     WriteError(Status::InvalidArgument(
                    "expected ?changeset=<id> or a bounding box"),

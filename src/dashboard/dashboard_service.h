@@ -54,6 +54,8 @@ struct DashboardOptions {
 ///       &format=...        (same formats as /api/query)
 ///   GET /api/sample        sample update queries (Section IV-B)
 ///       ?changeset=<id>  |  ?min_lat=..&min_lon=..&max_lat=..&max_lon=..&n=100
+///       (the newest n updates in the box; n=0 or n > kMaxSampleRecords
+///       returns kMaxSampleRecords, a non-numeric n is 400)
 ///   GET /api/zones         the Country dimension (id, name, kind, size)
 ///   GET /api/stats         index/cache/storage statistics
 ///   GET /api/trace         recent query traces (per-span wall + device time,
@@ -79,6 +81,9 @@ struct DashboardOptions {
 /// Every response carries X-Rased-Trace-Id (obs/request_context.h).
 class DashboardService {
  public:
+  /// Most records one /api/sample box request returns.
+  static constexpr uint64_t kMaxSampleRecords = 1000;
+
   /// `rased` must outlive the service.
   explicit DashboardService(Rased* rased,
                             const DashboardOptions& options = {});

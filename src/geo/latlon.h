@@ -58,7 +58,7 @@ struct BoundingBox {
     return LatLon{(min_lat + max_lat) / 2.0, (min_lon + max_lon) / 2.0};
   }
 
-  /// Degenerate "area" in squared degrees, used by the R-tree heuristics.
+  /// Planar area in squared degrees (0 for an empty box).
   double Area() const {
     return IsValid() ? (max_lat - min_lat) * (max_lon - min_lon) : 0.0;
   }

@@ -122,7 +122,7 @@ TemporalIndex::TemporalIndex(TemporalIndexOptions options,
   // The empty catalog is itself a published version: epoch 1, no cubes.
   auto genesis = std::make_shared<CatalogVersion>();
   genesis->epoch = 1;
-  current_.store(std::move(genesis), std::memory_order_release);
+  SetCurrent(std::move(genesis));
   if (options_.metrics != nullptr) {
     MetricsRegistry* registry = options_.metrics;
     pager_->RegisterMetrics(registry, "index");
@@ -333,13 +333,27 @@ Result<std::unique_ptr<TemporalIndex>> TemporalIndex::Open(
   }
   index->pager_->ReleasePages(free_pages);
 
-  index->current_.store(std::move(version), std::memory_order_release);
+  index->SetCurrent(std::move(version));
   index->UpdateStorageMetrics();
   return index;
 }
 
 CatalogSnapshot TemporalIndex::Snapshot() const {
-  return CatalogSnapshot(current_.load(std::memory_order_acquire));
+  return CatalogSnapshot(Current());
+}
+
+std::shared_ptr<const CatalogVersion> TemporalIndex::Current() const {
+  MutexLock lock(&current_mu_);
+  return current_;
+}
+
+void TemporalIndex::SetCurrent(std::shared_ptr<const CatalogVersion> next) {
+  {
+    MutexLock lock(&current_mu_);
+    current_.swap(next);
+  }
+  // `next` now holds the displaced version; it is released here, outside
+  // the lock (publication keeps its own reference for retirement).
 }
 
 size_t TemporalIndex::retired_versions() const {
@@ -348,8 +362,7 @@ size_t TemporalIndex::retired_versions() const {
 }
 
 Status TemporalIndex::SaveCatalog() {
-  std::shared_ptr<const CatalogVersion> version =
-      current_.load(std::memory_order_acquire);
+  std::shared_ptr<const CatalogVersion> version = Current();
   std::string out = kCatalogMagic;
   out += "\n";
   out += StrFormat("schema %u %u %u %u\n", options_.schema.num_element_types,
@@ -522,9 +535,9 @@ void TemporalIndex::PublishLocked(Staging* staging) {
     next->levels[level] = std::move(map);
   }
 
-  // The publication point: one atomic swap makes the day AND all of its
+  // The publication point: one pointer swap makes the day AND all of its
   // rollups visible together. Readers pinned to the base keep using it.
-  current_.store(next, std::memory_order_release);
+  SetCurrent(std::move(next));
   retired_.push_back(
       RetiredVersion{std::move(staging->base), std::move(staging->dropped)});
   if (metrics_.publications != nullptr) metrics_.publications->Increment();
@@ -620,7 +633,7 @@ Status TemporalIndex::AppendDay(Date day, const DataCube& cube) {
   }
   MutexLock lock(&maint_mu_);
   Staging staging;
-  staging.base = current_.load(std::memory_order_acquire);
+  staging.base = Current();
   if (staging.base->last_day.has_value() &&
       day != staging.base->last_day->next()) {
     return Status::InvalidArgument(
@@ -697,7 +710,7 @@ Status TemporalIndex::RebuildMonth(Date month_start,
   }
   MutexLock lock(&maint_mu_);
   Staging staging;
-  staging.base = current_.load(std::memory_order_acquire);
+  staging.base = Current();
   staging.first_day = staging.base->first_day;
   staging.last_day = staging.base->last_day;
 

@@ -1,7 +1,6 @@
 #ifndef RASED_INDEX_TEMPORAL_INDEX_H_
 #define RASED_INDEX_TEMPORAL_INDEX_H_
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -164,12 +163,13 @@ class CatalogSnapshot {
 ///    if closed, yearly) cubes from monthly-crawler data that carries the
 ///    full four-way UpdateType classification.
 ///
-/// Threading contract (MVCC): const means thread-safe AND wait-free with
-/// respect to writers. The catalog is published as immutable versions
-/// behind one atomic pointer; Snapshot() pins the current version and
-/// every read (Contains, ReadCube(s), ExistingKeys, LatestKeys, coverage,
-/// StorageStats) resolves against a pinned version, so readers never block
-/// on — or observe a torn state from — maintenance. Maintenance
+/// Threading contract (MVCC): const means thread-safe AND never waiting on
+/// maintenance work. The catalog is published as immutable versions
+/// behind one pointer slot whose lock is held only to copy or swap the
+/// pointer; Snapshot() pins the current version and every read (Contains,
+/// ReadCube(s), ExistingKeys, LatestKeys, coverage, StorageStats) resolves
+/// against a pinned version, so readers never block on — or observe a
+/// torn state from — maintenance. Maintenance
 /// (AppendDay, RebuildMonth) is serialized internally by a maintenance
 /// mutex: it stages new cube pages off to the side (fresh pages only —
 /// pages reachable from any published version are never overwritten), then
@@ -215,9 +215,10 @@ class TemporalIndex {
 
   // ---- snapshots ----
 
-  /// Pins the currently published catalog version. O(1), wait-free with
-  /// respect to maintenance. The snapshot stays valid (and its pages
-  /// unreclaimed) until the last copy is destroyed — keep it stack-scoped.
+  /// Pins the currently published catalog version. O(1): one lock held
+  /// for a pointer copy, never across maintenance work. The snapshot
+  /// stays valid (and its pages unreclaimed) until the last copy is
+  /// destroyed — keep it stack-scoped.
   CatalogSnapshot Snapshot() const;
 
   /// Epoch of the currently published version.
@@ -339,6 +340,10 @@ class TemporalIndex {
   /// Builds the next version from `staging` (copy-on-write per level),
   /// swaps it in, retires the base version, and runs a reclamation sweep.
   void PublishLocked(Staging* staging) RASED_REQUIRES(maint_mu_);
+  std::shared_ptr<const CatalogVersion> Current() const
+      RASED_EXCLUDES(current_mu_);
+  void SetCurrent(std::shared_ptr<const CatalogVersion> next)
+      RASED_EXCLUDES(current_mu_);
 
   /// Pops drained versions off the front of the retirement queue,
   /// releasing their dropped pages. Front-gated: a version's pages are
@@ -381,9 +386,13 @@ class TemporalIndex {
   // never race a reader of a published page.
   std::unique_ptr<Pager> pager_ RASED_CONST_AFTER_INIT;
 
-  /// The currently published catalog version. Readers load (pin) it
-  /// wait-free; only maintenance stores it, under maint_mu_.
-  std::atomic<std::shared_ptr<const CatalogVersion>> current_;
+  /// The currently published catalog version. Readers pin it by copying
+  /// the pointer under current_mu_ (one lock/unlock per snapshot, never
+  /// held across anything else); only maintenance replaces it, under
+  /// maint_mu_. A plain mutex rather than std::atomic<std::shared_ptr>:
+  /// both TSan and -Wthread-safety check it (DESIGN.md §10).
+  mutable Mutex current_mu_;
+  std::shared_ptr<const CatalogVersion> current_ RASED_GUARDED_BY(current_mu_);
 
   /// Serializes maintenance (stage + publish + reclaim) against itself.
   /// Never taken on the read path.

@@ -1,7 +1,9 @@
 #include "warehouse/warehouse.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <queue>
 
 #include "io/env.h"
 #include "util/logging.h"
@@ -10,6 +12,23 @@
 namespace rased {
 
 namespace {
+
+constexpr int kGridRows = 180;  // 1° of latitude each
+constexpr int kGridCols = 360;  // 1° of longitude each
+
+/// Grid row/column of a coordinate, clamped so every point (even an
+/// out-of-range or NaN one) lands in some cell and every box maps to a
+/// cell range; the exact box test is always applied afterwards.
+int GridIndex(double value, double origin, int cells) {
+  double index = std::floor(value - origin);
+  if (!(index >= 0)) return 0;
+  return index >= cells ? cells - 1 : static_cast<int>(index);
+}
+int GridRow(double lat) { return GridIndex(lat, -90.0, kGridRows); }
+int GridCol(double lon) { return GridIndex(lon, -180.0, kGridCols); }
+size_t CellOf(int row, int col) {
+  return static_cast<size_t>(row) * kGridCols + static_cast<size_t>(col);
+}
 
 template <typename T>
 bool InListOrEmpty(const std::vector<T>& list, T value) {
@@ -30,6 +49,8 @@ bool SampleFilter::Matches(const UpdateRecord& r) const {
 Warehouse::Warehouse(WarehouseOptions options, std::unique_ptr<Pager> pager)
     : options_(std::move(options)), pager_(std::move(pager)) {
   tail_.assign(pager_->payload_size(), 0);
+  MutexLock lock(&mu_);
+  grid_.resize(CellOf(kGridRows, 0));
 }
 
 Warehouse::~Warehouse() {
@@ -84,7 +105,11 @@ Status Warehouse::RebuildIndexes() {
 
 void Warehouse::IndexRecord(const UpdateRecord& record, uint64_t locator) {
   by_changeset_[record.changeset_id].push_back(locator);
-  spatial_.Insert(LatLon{record.lat, record.lon}, locator);
+  grid_[CellOf(GridRow(record.lat), GridCol(record.lon))].push_back(
+      GridPoint{record.lat, record.lon, locator});
+  const size_t page_index = PageOf(locator) - 1;
+  if (page_counts_.size() <= page_index) page_counts_.resize(page_index + 1);
+  page_counts_[page_index] = SlotOf(locator) + 1;
 }
 
 Status Warehouse::Append(const std::vector<UpdateRecord>& records) {
@@ -111,11 +136,7 @@ Status Warehouse::Append(const std::vector<UpdateRecord>& records) {
 Status Warehouse::FlushTail() {
   if (tail_page_ == kInvalidPageId) return Status::OK();
   std::memcpy(tail_.data(), &tail_count_, 4);
-  RASED_RETURN_IF_ERROR(
-      pager_->WritePage(tail_page_, tail_.data(), tail_.size()));
-  // Invalidate the read cache if it holds this page.
-  if (cached_page_ == tail_page_) cached_page_ = kInvalidPageId;
-  return Status::OK();
+  return pager_->WritePage(tail_page_, tail_.data(), tail_.size());
 }
 
 Status Warehouse::Sync() {
@@ -124,103 +145,151 @@ Status Warehouse::Sync() {
   return pager_->Sync();
 }
 
-Result<UpdateRecord> Warehouse::ReadAt(uint64_t locator) {
-  PageId page = locator >> 16;
-  uint32_t slot = static_cast<uint32_t>(locator & 0xffff);
-  // Unflushed tail page: serve from memory.
-  if (page == tail_page_) {
-    if (slot >= tail_count_) return Status::OutOfRange("bad tail slot");
-    return UpdateRecord::DecodeFrom(tail_.data() + 4 +
-                                    slot * UpdateRecord::kEncodedBytes);
+std::vector<uint64_t> Warehouse::NewestInBox(const BoundingBox& box,
+                                             size_t n) const {
+  // One cursor per overlapping cell walks back from the cell's newest
+  // point; a max-heap on the cursors' locators merges the cells newest
+  // first, so only about n points are ever visited past the first probe.
+  struct Cursor {
+    uint64_t locator;
+    const std::vector<GridPoint>* cell;
+    size_t pos;  // index of the point the cursor stands on
+  };
+  auto older = [](const Cursor& a, const Cursor& b) {
+    return a.locator < b.locator;
+  };
+  std::priority_queue<Cursor, std::vector<Cursor>, decltype(older)> heap(
+      older);
+  auto push_next_in_box = [&heap, &box](const std::vector<GridPoint>* cell,
+                                        size_t end) {
+    while (end > 0) {
+      const GridPoint& p = (*cell)[--end];
+      if (box.Contains(LatLon{p.lat, p.lon})) {
+        heap.push(Cursor{p.locator, cell, end});
+        return;
+      }
+    }
+  };
+  for (int row = GridRow(box.min_lat); row <= GridRow(box.max_lat); ++row) {
+    for (int col = GridCol(box.min_lon); col <= GridCol(box.max_lon); ++col) {
+      const std::vector<GridPoint>& cell = grid_[CellOf(row, col)];
+      push_next_in_box(&cell, cell.size());
+    }
   }
-  if (page != cached_page_) {
-    cached_buf_.resize(pager_->payload_size());
-    RASED_RETURN_IF_ERROR(pager_->ReadPage(page, cached_buf_.data()));
-    cached_page_ = page;
+  std::vector<uint64_t> out;
+  while (!heap.empty() && (n == 0 || out.size() < n)) {
+    Cursor top = heap.top();
+    heap.pop();
+    out.push_back(top.locator);
+    push_next_in_box(top.cell, top.pos);
   }
-  uint32_t count;
-  std::memcpy(&count, cached_buf_.data(), 4);
-  if (slot >= count) {
-    return Status::OutOfRange(StrFormat("slot %u >= page count %u", slot,
-                                        count));
+  return out;
+}
+
+Warehouse::ReadSet Warehouse::Capture(std::vector<uint64_t> locators) const {
+  ReadSet set;
+  set.locators = std::move(locators);
+  // Newest first: only the leading locators can sit on the tail page.
+  if (!set.locators.empty() && PageOf(set.locators.front()) == tail_page_) {
+    set.tail_page = tail_page_;
+    set.tail = tail_;
+    std::memcpy(set.tail.data(), &tail_count_, 4);
   }
-  return UpdateRecord::DecodeFrom(cached_buf_.data() + 4 +
-                                  slot * UpdateRecord::kEncodedBytes);
+  return set;
+}
+
+Result<std::vector<UpdateRecord>> Warehouse::Read(const ReadSet& set,
+                                                  const SampleFilter* filter,
+                                                  size_t n) const {
+  // 128 pages is 1 MiB of 8 KiB pages: a default 100-record sample is one
+  // ReadPages call, and a selective filter still reads in bounded steps.
+  constexpr size_t kBatchPages = 128;
+  const size_t payload = pager_->payload_size();
+  const std::vector<uint64_t>& locators = set.locators;
+  std::vector<UpdateRecord> out;
+  std::vector<PageId> pages;
+  std::vector<unsigned char> buf;
+  size_t i = 0;
+  while (i < locators.size() && (n == 0 || out.size() < n)) {
+    // Locators descend, so each page's locators are adjacent and a page is
+    // new exactly when it differs from the last one batched.
+    pages.clear();
+    size_t end = i;
+    for (; end < locators.size(); ++end) {
+      PageId page = PageOf(locators[end]);
+      if (page == set.tail_page || (!pages.empty() && pages.back() == page)) {
+        continue;
+      }
+      if (pages.size() == kBatchPages) break;
+      pages.push_back(page);
+    }
+    buf.resize(pages.size() * payload);
+    RASED_RETURN_IF_ERROR(pager_->ReadPages(pages, buf.data()));
+    size_t k = 0;
+    for (; i < end && (n == 0 || out.size() < n); ++i) {
+      PageId page = PageOf(locators[i]);
+      const unsigned char* data = set.tail.data();
+      if (page != set.tail_page) {
+        while (pages[k] != page) ++k;
+        data = buf.data() + k * payload;
+      }
+      uint32_t slot = SlotOf(locators[i]);
+      uint32_t count = 0;
+      std::memcpy(&count, data, 4);
+      if (slot >= count) {
+        return Status::OutOfRange(
+            StrFormat("slot %u >= page count %u", slot, count));
+      }
+      UpdateRecord r = UpdateRecord::DecodeFrom(
+          data + 4 + slot * UpdateRecord::kEncodedBytes);
+      if (filter == nullptr || filter->Matches(r)) out.push_back(r);
+    }
+  }
+  return out;
 }
 
 Result<std::vector<UpdateRecord>> Warehouse::SampleInBox(
     const BoundingBox& box, size_t n) {
-  MutexLock lock(&mu_);
-  std::vector<uint64_t> locators = spatial_.SearchIds(box, n);
-  // Sort by page to serve all slots of one page from one I/O.
-  std::sort(locators.begin(), locators.end());
-  std::vector<UpdateRecord> out;
-  out.reserve(locators.size());
-  for (uint64_t loc : locators) {
-    RASED_ASSIGN_OR_RETURN(UpdateRecord r, ReadAt(loc));
-    out.push_back(r);
+  ReadSet set;
+  {
+    MutexLock lock(&mu_);
+    set = Capture(NewestInBox(box, n));
   }
-  return out;
+  return Read(set, /*filter=*/nullptr, n);
 }
 
 Result<std::vector<UpdateRecord>> Warehouse::FindByChangeset(
     uint64_t changeset_id) {
-  MutexLock lock(&mu_);
-  std::vector<UpdateRecord> out;
-  auto it = by_changeset_.find(changeset_id);
-  if (it == by_changeset_.end()) return out;
-  std::vector<uint64_t> locators = it->second;
-  std::sort(locators.begin(), locators.end());
-  out.reserve(locators.size());
-  for (uint64_t loc : locators) {
-    RASED_ASSIGN_OR_RETURN(UpdateRecord r, ReadAt(loc));
-    out.push_back(r);
+  ReadSet set;
+  {
+    MutexLock lock(&mu_);
+    auto it = by_changeset_.find(changeset_id);
+    if (it == by_changeset_.end()) return std::vector<UpdateRecord>{};
+    set = Capture(std::vector<uint64_t>(it->second.rbegin(),
+                                        it->second.rend()));
   }
-  return out;
+  return Read(set, /*filter=*/nullptr, /*n=*/0);
 }
 
 Result<std::vector<UpdateRecord>> Warehouse::Sample(
     const SampleFilter& filter, const BoundingBox* box, size_t n) {
-  MutexLock lock(&mu_);
-  std::vector<UpdateRecord> out;
-  if (box != nullptr) {
-    // Spatial narrowing through the R-tree, then residual filtering.
+  ReadSet set;
+  {
+    MutexLock lock(&mu_);
     std::vector<uint64_t> locators;
-    spatial_.Search(*box, [&locators](uint64_t id, const BoundingBox&) {
-      locators.push_back(id);
-      return true;
-    });
-    std::sort(locators.begin(), locators.end());
-    for (uint64_t loc : locators) {
-      auto r = ReadAt(loc);
-      if (!r.ok()) return r.status();
-      if (filter.Matches(r.value())) {
-        out.push_back(r.value());
-        if (out.size() >= n) break;
+    if (box != nullptr) {
+      locators = NewestInBox(*box, /*n=*/0);
+    } else {
+      locators.reserve(num_records_);
+      for (size_t p = page_counts_.size(); p > 0; --p) {
+        for (uint32_t slot = page_counts_[p - 1]; slot > 0; --slot) {
+          locators.push_back(Locator(p, slot - 1));
+        }
       }
     }
-    return out;
+    set = Capture(std::move(locators));
   }
-  // Heap scan until n matches.
-  std::vector<unsigned char> buf(pager_->payload_size());
-  for (PageId page = 1; page <= pager_->num_pages() && out.size() < n;
-       ++page) {
-    RASED_RETURN_IF_ERROR(pager_->ReadPage(page, buf.data()));
-    uint32_t count;
-    std::memcpy(&count, buf.data(), 4);
-    for (uint32_t slot = 0; slot < count && out.size() < n; ++slot) {
-      UpdateRecord r = UpdateRecord::DecodeFrom(
-          buf.data() + 4 + slot * UpdateRecord::kEncodedBytes);
-      if (filter.Matches(r)) out.push_back(r);
-    }
-  }
-  // Tail page.
-  for (uint32_t slot = 0; slot < tail_count_ && out.size() < n; ++slot) {
-    UpdateRecord r = UpdateRecord::DecodeFrom(
-        tail_.data() + 4 + slot * UpdateRecord::kEncodedBytes);
-    if (filter.Matches(r)) out.push_back(r);
-  }
-  return out;
+  return Read(set, &filter, n);
 }
 
 }  // namespace rased

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "collect/update_record.h"
-#include "geo/rtree.h"
+#include "geo/latlon.h"
 #include "io/pager.h"
 #include "util/date.h"
 #include "util/result.h"
@@ -42,13 +42,24 @@ struct SampleFilter {
 ///
 /// The heap pages live on disk behind a Pager; both indexes are in-memory
 /// and rebuilt by scanning the heap on Open (their maintenance cost is
-/// part of offline ingestion, not the query path).
+/// part of offline ingestion, not the query path). The spatial index is a
+/// uniform 1°×1° grid whose cells list their points in heap order.
 ///
-/// Threading contract: public operations are internally synchronized by a
-/// single coarse mutex (appends and samples serialize against each other —
-/// the sample path is I/O bound anyway). The only exception is pager():
-/// reading pager stats while another thread is mid-append is racy; callers
-/// wanting exact counts serialize externally, as Rased does.
+/// Sample definition: every read (SampleInBox, Sample, FindByChangeset)
+/// returns the newest matching records first — highest heap position
+/// first, which means newest day, then latest arrival — and stops after
+/// `n` of them; `n == 0` means all.
+///
+/// Threading contract: public operations are internally synchronized by
+/// one mutex, which a read holds only to probe the in-memory indexes and
+/// copy the unflushed tail page. The page reads run outside it, through
+/// the const, thread-safe, CRC-checked Pager::ReadPages, so reads never
+/// serialize against each other or against an append's I/O. That is safe
+/// because a read only fetches sealed pages (every page but the tail),
+/// which are never rewritten; the tail, which Sync rewrites in place, is
+/// always served from the copy. The only exception is pager(): reading
+/// pager stats while another thread is mid-append is racy; callers wanting
+/// exact counts serialize externally, as Rased does.
 class Warehouse {
  public:
   static Result<std::unique_ptr<Warehouse>> Create(
@@ -64,17 +75,16 @@ class Warehouse {
   Status Append(const std::vector<UpdateRecord>& records)
       RASED_EXCLUDES(mu_);
 
-  /// Up to `n` updates inside the box (via the R-tree).
+  /// The newest `n` updates inside the box (via the grid).
   Result<std::vector<UpdateRecord>> SampleInBox(const BoundingBox& box,
                                                 size_t n) RASED_EXCLUDES(mu_);
 
-  /// All updates of one changeset (via the hash index).
+  /// All updates of one changeset (via the hash index), newest first.
   Result<std::vector<UpdateRecord>> FindByChangeset(uint64_t changeset_id)
       RASED_EXCLUDES(mu_);
 
-  /// Up to `n` (default 100, the paper's default sample size) updates
-  /// matching the filter. Uses the R-tree when the filter is spatial,
-  /// otherwise samples the heap.
+  /// The newest `n` updates matching the filter, and inside `box` when it
+  /// is non-null (the grid narrows the candidates first).
   Result<std::vector<UpdateRecord>> Sample(const SampleFilter& filter,
                                            const BoundingBox* box, size_t n)
       RASED_EXCLUDES(mu_);
@@ -89,6 +99,23 @@ class Warehouse {
   Status Sync() RASED_EXCLUDES(mu_);
 
  private:
+  /// One indexed point: its coordinates (for the exact box test) and where
+  /// the record lives in the heap.
+  struct GridPoint {
+    double lat = 0.0;
+    double lon = 0.0;
+    uint64_t locator = 0;
+  };
+
+  /// What a read fetches, captured under mu_: candidate locators in
+  /// strictly descending (newest-first) order, and a copy of the unflushed
+  /// tail page (slot count included) when a candidate lives on it.
+  struct ReadSet {
+    std::vector<uint64_t> locators;
+    PageId tail_page = kInvalidPageId;
+    std::vector<unsigned char> tail;
+  };
+
   Warehouse(WarehouseOptions options, std::unique_ptr<Pager> pager);
 
   /// Records per heap page; 4 payload bytes hold the page's slot count.
@@ -98,37 +125,54 @@ class Warehouse {
   static uint64_t Locator(PageId page, uint32_t slot) {
     return (page << 16) | slot;
   }
-  Result<UpdateRecord> ReadAt(uint64_t locator) RASED_REQUIRES(mu_);
+  static PageId PageOf(uint64_t locator) { return locator >> 16; }
+  static uint32_t SlotOf(uint64_t locator) {
+    return static_cast<uint32_t>(locator & 0xffff);
+  }
   Status FlushTail() RASED_REQUIRES(mu_);
   Status RebuildIndexes() RASED_REQUIRES(mu_);
   void IndexRecord(const UpdateRecord& record, uint64_t locator)
       RASED_REQUIRES(mu_);
 
+  /// Locators of the newest `n` (0 = all) indexed points inside `box`,
+  /// newest first.
+  std::vector<uint64_t> NewestInBox(const BoundingBox& box, size_t n) const
+      RASED_REQUIRES(mu_);
+  /// Wraps newest-first `locators` with the tail copy they need.
+  ReadSet Capture(std::vector<uint64_t> locators) const RASED_REQUIRES(mu_);
+  /// Decodes `set`'s records in order, keeping those that match `filter`
+  /// (null = all) until `n` (0 = all) are kept. Sealed pages are fetched
+  /// in batches of distinct pages with Pager::ReadPages, without mu_.
+  Result<std::vector<UpdateRecord>> Read(const ReadSet& set,
+                                         const SampleFilter* filter,
+                                         size_t n) const RASED_EXCLUDES(mu_);
+
   WarehouseOptions options_ RASED_CONST_AFTER_INIT;
-  // The pager is only ever driven while mu_ is held (every public method
-  // locks at entry), but the pager() accessor above escapes the lock for
-  // stats inspection — see the class threading contract.
+  // Appends drive the pager under mu_; reads call only its const,
+  // thread-safe ReadPages, outside mu_. The pager() accessor above escapes
+  // the lock for stats inspection — see the class threading contract.
   std::unique_ptr<Pager> pager_ RASED_CONST_AFTER_INIT;
 
-  /// Coarse lock over heap tail, in-memory indexes, and the read cache.
+  /// Guards the heap tail and the in-memory indexes; never held over a
+  /// read's page I/O.
   mutable Mutex mu_;
 
   uint64_t num_records_ RASED_GUARDED_BY(mu_) = 0;
 
-  // Tail page under construction (not yet on disk).
+  // Tail page under construction. Its on-disk image is rewritten by every
+  // Sync until the page fills, so reads serve it from a copy of tail_.
   std::vector<unsigned char> tail_ RASED_GUARDED_BY(mu_);
   uint32_t tail_count_ RASED_GUARDED_BY(mu_) = 0;
   PageId tail_page_ RASED_GUARDED_BY(mu_) = kInvalidPageId;
 
-  // In-memory indexes.
+  // In-memory indexes. Every list is in heap (= append) order.
   std::unordered_map<uint64_t, std::vector<uint64_t>> by_changeset_
       RASED_GUARDED_BY(mu_);
-  RTree spatial_ RASED_GUARDED_BY(mu_);
-
-  // One-page read cache to make locator bursts touching the same heap
-  // page cost one I/O.
-  PageId cached_page_ RASED_GUARDED_BY(mu_) = kInvalidPageId;
-  std::vector<unsigned char> cached_buf_ RASED_GUARDED_BY(mu_);
+  /// 180 x 360 cells of 1° x 1°, row-major from (-90°, -180°).
+  std::vector<std::vector<GridPoint>> grid_ RASED_GUARDED_BY(mu_);
+  /// Slot count of each heap page (index = page id - 1), so an unboxed
+  /// Sample can enumerate every locator without reading pages.
+  std::vector<uint32_t> page_counts_ RASED_GUARDED_BY(mu_);
 };
 
 }  // namespace rased

@@ -191,6 +191,43 @@ TEST_F(DashboardServiceTest, SampleByBox) {
   EXPECT_NE(response.find("\"lat\""), std::string::npos);
 }
 
+size_t CountSamples(const std::string& response) {
+  size_t count = 0;
+  for (size_t at = response.find("\"changeset\""); at != std::string::npos;
+       at = response.find("\"changeset\"", at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(DashboardServiceTest, SampleSizeIsClampedToMaximum) {
+  auto all = rased_->Sample(SampleFilter{}, /*n=*/0);
+  ASSERT_TRUE(all.ok());
+  ASSERT_GT(all.value().size(), DashboardService::kMaxSampleRecords);
+  const std::string world =
+      "/api/sample?min_lat=-90&min_lon=-180&max_lat=90&max_lon=180";
+  // n=0 used to return every record in the box.
+  for (const char* n : {"&n=0", "&n=5000", "&n=18446744073709551615"}) {
+    std::string response = Fetch(service_->port(), world + n);
+    EXPECT_NE(response.find("200 OK"), std::string::npos) << n;
+    EXPECT_EQ(CountSamples(response), DashboardService::kMaxSampleRecords)
+        << n;
+  }
+  EXPECT_EQ(CountSamples(Fetch(service_->port(), world + "&n=7")), 7u);
+  EXPECT_EQ(CountSamples(Fetch(service_->port(), world)), 100u);
+}
+
+TEST_F(DashboardServiceTest, SampleWithUnparsableSizeIs400) {
+  const std::string world =
+      "/api/sample?min_lat=-90&min_lon=-180&max_lat=90&max_lon=180";
+  // An unparsable n used to fall back to 100 silently.
+  for (const char* n : {"&n=abc", "&n=-1", "&n=", "&n=1.5"}) {
+    std::string response = Fetch(service_->port(), world + n);
+    EXPECT_NE(response.find("400"), std::string::npos) << n;
+    EXPECT_EQ(CountSamples(response), 0u) << n;
+  }
+}
+
 TEST_F(DashboardServiceTest, SampleWithoutParamsIs400) {
   std::string response = Fetch(service_->port(), "/api/sample");
   EXPECT_NE(response.find("400"), std::string::npos);

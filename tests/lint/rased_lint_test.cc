@@ -122,12 +122,37 @@ TEST(RasedLintTest, SignalHandlerSafety) {
   ExpectMatchesMarkers("signal_handler.cc");
 }
 
-// The one legitimate home of intrinsics is exempt by exact path.
+// The ISA-flagged kernel files are exempt by exact path, and only they.
 TEST(RasedLintTest, VendorIntrinsicsAllowedInKernelTu) {
   std::string contents = ReadFixture("vendor_intrinsics.cc");
   EXPECT_TRUE(LintFile("agg_kernels_avx2.cc", "src/cube/agg_kernels_avx2.cc",
                        contents)
                   .empty());
+  EXPECT_TRUE(LintFile("crc32c_sse42.cc", "src/io/crc32c_sse42.cc",
+                       ReadFixture("crc_intrinsics.cc"))
+                  .empty());
+}
+
+// CRC intrinsics anywhere else in src/io still fire: the exemption is the
+// one file, not the directory.
+TEST(RasedLintTest, CrcIntrinsicsOutsideKernelFileFire) {
+  std::string contents = ReadFixture("crc_intrinsics.cc");
+  std::vector<LineRule> want = ParseWants(contents);
+  ASSERT_FALSE(want.empty());
+  for (const char* path : {"src/io/crc32c.cc", "src/io/page_file.cc",
+                           "src/io/crc32c_sse42_extra.cc"}) {
+    std::vector<LineRule> got;
+    for (const Finding& finding : LintFile("crc_intrinsics.cc", path,
+                                           contents)) {
+      // Only RL013 is under test; the path also changes which header
+      // include-order rules expect first.
+      if (finding.rule_id == "RL013") {
+        got.emplace_back(finding.line, finding.rule_id);
+      }
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << path;
+  }
 }
 
 TEST(RasedLintTest, ValidNolintSuppresses) {

@@ -1,6 +1,9 @@
 #include "warehouse/warehouse.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -186,9 +189,220 @@ TEST_F(WarehouseTest, PageReadsAreBatchedByLocatorOrder) {
   auto hits = wh.value()->FindByChangeset(5);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits.value().size(), 200u);
-  // 1024-byte pages hold 30 records => 200 records span 7 pages; the
-  // one-page cache must keep reads at page-count, not record-count.
+  // 1024-byte pages hold 30 records => 200 records span 7 pages; a read
+  // fetches each distinct page once, so reads stay at page-count, not
+  // record-count.
   EXPECT_LE(wh.value()->pager()->stats().page_reads, 8u);
+}
+
+// The sample definition every read shares: the newest `n` records in the
+// box, newest (highest heap position) first. `records` is the append order.
+std::vector<UpdateRecord> NewestInBoxReference(
+    const std::vector<UpdateRecord>& records, size_t count,
+    const BoundingBox& box, size_t n) {
+  std::vector<UpdateRecord> out;
+  for (size_t i = count; i > 0 && (n == 0 || out.size() < n); --i) {
+    const UpdateRecord& r = records[i - 1];
+    if (box.Contains(LatLon{r.lat, r.lon})) out.push_back(r);
+  }
+  return out;
+}
+
+// Random points over a 40°x40° region, `per_day` per day from 2021-01-01,
+// each with a distinct changeset id so records are distinguishable.
+std::vector<UpdateRecord> RandomDays(int days, int per_day, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<UpdateRecord> records;
+  for (int d = 0; d < days; ++d) {
+    for (int i = 0; i < per_day; ++i) {
+      UpdateRecord r;
+      r.element_type = ElementType::kWay;
+      r.date = Date::FromYmd(2021, 1, 1).AddDays(d);
+      r.country = 3;
+      r.lat = rng.NextDouble() * 40.0;
+      r.lon = rng.NextDouble() * 40.0 - 20.0;
+      r.road_type = static_cast<RoadTypeId>(i % 5);
+      r.update_type = i % 3 == 0 ? UpdateType::kNew : UpdateType::kGeometry;
+      r.changeset_id = records.size() + 1;
+      records.push_back(r);
+    }
+  }
+  return records;
+}
+
+std::vector<BoundingBox> TestBoxes() {
+  return {BoundingBox{0, -20, 40, 20},     BoundingBox{5, -5, 15, 15},
+          BoundingBox{10.5, 0.25, 11.5, 1.75}, BoundingBox{30, 10, 40, 20},
+          BoundingBox{-5, -30, 2, -15},    BoundingBox{20, 20, 25, 25},
+          BoundingBox{50, 50, 60, 60}};
+}
+
+TEST_F(WarehouseTest, SamplesReturnNewestInBoxFirst) {
+  auto wh = Warehouse::Create(Options());
+  ASSERT_TRUE(wh.ok());
+  std::vector<UpdateRecord> records = RandomDays(12, 50, 7);
+  ASSERT_TRUE(wh.value()->Append(records).ok());
+  for (const BoundingBox& box : TestBoxes()) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{100}}) {
+      auto got = wh.value()->SampleInBox(box, n);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(),
+                NewestInBoxReference(records, records.size(), box, n))
+          << box.ToString() << " n=" << n;
+    }
+  }
+  // The filtered and changeset reads follow the same definition.
+  SampleFilter filter;
+  filter.update_types = {UpdateType::kNew};
+  BoundingBox box{5, -5, 15, 15};
+  auto filtered = wh.value()->Sample(filter, &box, 5);
+  ASSERT_TRUE(filtered.ok());
+  std::vector<UpdateRecord> want;
+  for (const UpdateRecord& r : NewestInBoxReference(records, records.size(),
+                                                    box, 0)) {
+    if (r.update_type == UpdateType::kNew && want.size() < 5) want.push_back(r);
+  }
+  EXPECT_EQ(filtered.value(), want);
+  auto unboxed = wh.value()->Sample(filter, nullptr, 3);
+  ASSERT_TRUE(unboxed.ok());
+  want.clear();
+  for (size_t i = records.size(); i > 0 && want.size() < 3; --i) {
+    if (records[i - 1].update_type == UpdateType::kNew) {
+      want.push_back(records[i - 1]);
+    }
+  }
+  EXPECT_EQ(unboxed.value(), want);
+
+  ASSERT_TRUE(wh.value()
+                  ->Append({RecordAt(1, 1, 9000), RecordAt(2, 2, 9000)})
+                  .ok());
+  auto by_changeset = wh.value()->FindByChangeset(9000);
+  ASSERT_TRUE(by_changeset.ok());
+  ASSERT_EQ(by_changeset.value().size(), 2u);
+  EXPECT_DOUBLE_EQ(by_changeset.value()[0].lat, 2);
+  EXPECT_DOUBLE_EQ(by_changeset.value()[1].lat, 1);
+}
+
+TEST_F(WarehouseTest, SamplesIdenticalAfterReopen) {
+  WarehouseOptions options = Options();
+  std::vector<UpdateRecord> records = RandomDays(10, 45, 11);
+  const auto half = records.begin() + 5 * 45;
+  {
+    auto wh = Warehouse::Create(options);
+    ASSERT_TRUE(wh.ok());
+    ASSERT_TRUE(wh.value()->Append({records.begin(), half}).ok());
+  }
+  // Appends after a reopen start a fresh page, so the first session's
+  // partial last page stays partial in the middle of the heap.
+  std::vector<std::vector<UpdateRecord>> before;
+  SampleFilter filter;
+  filter.update_types = {UpdateType::kNew};
+  {
+    auto wh = Warehouse::Open(options);
+    ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+    ASSERT_TRUE(wh.value()->Append({half, records.end()}).ok());
+    for (const BoundingBox& box : TestBoxes()) {
+      auto got = wh.value()->SampleInBox(box, 20);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(),
+                NewestInBoxReference(records, records.size(), box, 20));
+      before.push_back(got.value());
+    }
+    auto unboxed = wh.value()->Sample(filter, nullptr, 0);
+    ASSERT_TRUE(unboxed.ok());
+    before.push_back(unboxed.value());
+  }
+  auto wh = Warehouse::Open(options);
+  ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+  EXPECT_EQ(wh.value()->num_records(), records.size());
+  std::vector<BoundingBox> boxes = TestBoxes();
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    auto got = wh.value()->SampleInBox(boxes[i], 20);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), before[i]) << boxes[i].ToString();
+  }
+  auto unboxed = wh.value()->Sample(filter, nullptr, 0);
+  ASSERT_TRUE(unboxed.ok());
+  EXPECT_EQ(unboxed.value(), before.back());
+  EXPECT_EQ(unboxed.value().size(), records.size() / 3);  // i % 3 == 0
+}
+
+// Four samplers run against an appender that Syncs in the middle of every
+// day, so the partial tail page is rewritten on disk under the readers.
+// Every sample must lie in its box, and a sample taken wholly inside a
+// quiescent interval (no append in flight) must equal the serial
+// brute-force reference for the records appended so far.
+TEST_F(WarehouseTest, ConcurrentSamplersMatchReferenceAcrossMidDaySyncs) {
+  constexpr int kDays = 16;
+  constexpr int kPerDay = 90;  // 3 pages of 30; the mid-day Sync is mid-page
+  constexpr int kHalf = kPerDay / 2;
+  constexpr int kSamplers = 4;
+  auto wh = Warehouse::Create(Options());
+  ASSERT_TRUE(wh.ok());
+  Warehouse* warehouse = wh.value().get();
+  const std::vector<UpdateRecord> records = RandomDays(kDays, kPerDay, 23);
+  const std::vector<BoundingBox> boxes = TestBoxes();
+
+  // Even phase 2k: quiescent with k half-days appended; odd: appending.
+  std::atomic<int> phase{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> verified[kSamplers];
+  for (auto& v : verified) v.store(-1);
+  std::atomic<int> failures{0};
+
+  std::vector<std::thread> samplers;
+  for (int t = 0; t < kSamplers; ++t) {
+    samplers.emplace_back([&, t] {
+      Rng rng(100 + static_cast<uint64_t>(t));
+      while (!stop.load(std::memory_order_acquire)) {
+        const BoundingBox& box = boxes[rng.Uniform(boxes.size())];
+        const size_t n = size_t{1} << rng.Uniform(8);  // 1..128
+        const int before = phase.load(std::memory_order_acquire);
+        auto got = warehouse->SampleInBox(box, n);
+        const int after = phase.load(std::memory_order_acquire);
+        if (!got.ok() || got.value().size() > n) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < got.value().size(); ++i) {
+          const UpdateRecord& r = got.value()[i];
+          if (!box.Contains(LatLon{r.lat, r.lon}) ||
+              (i > 0 && r.changeset_id >= got.value()[i - 1].changeset_id)) {
+            failures.fetch_add(1);
+          }
+        }
+        if (before == after && before % 2 == 0) {
+          const size_t count = static_cast<size_t>(before / 2) * kHalf;
+          if (got.value() != NewestInBoxReference(records, count, box, n)) {
+            failures.fetch_add(1);
+          }
+          verified[t].store(before, std::memory_order_release);
+        }
+      }
+    });
+  }
+
+  auto wait_for_samplers = [&](int p) {
+    for (auto& v : verified) {
+      while (v.load(std::memory_order_acquire) < p) std::this_thread::yield();
+    }
+  };
+  bool appended = true;
+  for (int half = 0; half < 2 * kDays && appended; ++half) {
+    wait_for_samplers(2 * half);
+    phase.store(2 * half + 1, std::memory_order_release);
+    std::vector<UpdateRecord> chunk(records.begin() + half * kHalf,
+                                    records.begin() + (half + 1) * kHalf);
+    appended = warehouse->Append(chunk).ok();
+    if (appended && half % 2 == 0) appended = warehouse->Sync().ok();
+    phase.store(2 * half + 2, std::memory_order_release);
+  }
+  EXPECT_TRUE(appended);
+  if (appended) wait_for_samplers(4 * kDays);
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : samplers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(warehouse->num_records(), records.size());
 }
 
 TEST_F(WarehouseTest, CreateRejectsExisting) {

@@ -51,8 +51,9 @@ const std::vector<RuleInfo> kRules = {
      "are per-operation pins — hold them as locals so retired epochs drain"},
     {"RL013", "vendor-intrinsics",
      "vendor SIMD intrinsics (immintrin.h, _mm*/__m* identifiers) outside "
-     "src/cube/agg_kernels_avx2.cc; keep intrinsics behind the kernel "
-     "dispatch table (cube/agg_kernels.h)"},
+     "the ISA-flagged kernel files (src/cube/agg_kernels_avx2.cc, "
+     "src/io/crc32c_sse42.cc); keep intrinsics behind their runtime "
+     "dispatch (cube/agg_kernels.h, io/crc32c.h)"},
     {"RL014", "raw-wallclock",
      "raw std::chrono clock (system_clock / steady_clock / "
      "high_resolution_clock) outside src/util/clock.h; use NowMicros / "
@@ -832,14 +833,19 @@ void CheckSnapshotMember(Ctx* ctx) {
 // RL013 vendor-intrinsics
 // --------------------------------------------------------------------------
 
-/// Vendor SIMD intrinsics are confined to the one translation unit built
-/// with -mavx2 (src/cube/agg_kernels_avx2.cc). Anywhere else they either
-/// fail to compile (no -mavx2) or — worse — compile into code that traps
-/// on CPUs without the extension, bypassing the runtime dispatch in
-/// cube/agg_kernels.h. Portable code calls kernels::SumRun/AddRun and
-/// lets the kernel table pick the implementation.
+/// Vendor SIMD intrinsics are confined to the translation units built with
+/// an ISA flag and called only through a runtime CPU check:
+/// src/cube/agg_kernels_avx2.cc (-mavx2, behind cube/agg_kernels.h) and
+/// src/io/crc32c_sse42.cc (-msse4.2, behind io/crc32c.h). Anywhere else
+/// they either fail to compile (no ISA flag) or — worse — compile into
+/// code that traps on CPUs without the extension, bypassing the dispatch.
+/// Portable code calls the dispatched entry points (kernels::SumRun/AddRun,
+/// Crc32c) and lets them pick the implementation.
 void CheckVendorIntrinsics(Ctx* ctx) {
-  if (ctx->InRepo("src/cube/agg_kernels_avx2.cc")) return;
+  for (const char* kernel_file :
+       {"src/cube/agg_kernels_avx2.cc", "src/io/crc32c_sse42.cc"}) {
+    if (ctx->InRepo(kernel_file)) return;
+  }
 
   static const std::vector<std::string> kIntrinsicHeaders = {
       "immintrin.h", "x86intrin.h", "emmintrin.h", "xmmintrin.h",
@@ -852,7 +858,7 @@ void CheckVendorIntrinsics(Ctx* ctx) {
       if (tok.text.find(header) != std::string::npos) {
         ctx->Emit(tok.line, "RL013",
                   "include of vendor intrinsics header <" + header +
-                      "> outside the AVX2 kernel translation unit");
+                      "> outside the ISA-flagged kernel files");
       }
     }
   }
@@ -865,8 +871,8 @@ void CheckVendorIntrinsics(Ctx* ctx) {
         tok.text.rfind("__m256", 0) == 0 || tok.text.rfind("__m512", 0) == 0) {
       ctx->Emit(tok.line, "RL013",
                 "vendor intrinsic '" + tok.text +
-                    "' outside the AVX2 kernel translation unit; use the "
-                    "kernels:: dispatch table");
+                    "' outside the ISA-flagged kernel files; call the "
+                    "runtime-dispatched entry point");
     }
   }
 }
