@@ -1,47 +1,20 @@
 // Ablation — cube layout (DESIGN.md §3.3).
 //
-// RASED stores cubes as dense uint64 arrays: rollups become vector adds
-// and pages have a fixed size, as Section VI-A requires. The alternative
-// a sparse implementation would pick — a hash map keyed by the packed
-// coordinate — wins only when cubes are nearly empty. This ablation
-// measures ingest, rollup-merge, and slice-sum throughput for both
-// layouts at several fill factors.
-
-#include <unordered_map>
+// RASED aggregates over dense uint64 arrays (DataCube) but maintains the
+// index in the sparse write form (SparseCube, a sorted cell list): a
+// day's updates touch a small fraction of the cells, so ingest and
+// rollups cost work proportional to the updates. This ablation measures
+// ingest (increments / pairs sorted into a cube), rollup-merge and total
+// for both layouts at several fill factors.
 
 #include "bench_common.h"
+#include "cube/sparse_cube.h"
 #include "util/clock.h"
 
 using namespace rased;
 using namespace rased::bench;
 
 namespace {
-
-/// The sparse strawman: coordinates packed into a u64 key.
-class SparseCube {
- public:
-  explicit SparseCube(const CubeSchema& schema) : schema_(schema) {}
-
-  void Add(uint32_t et, uint32_t co, uint32_t rt, uint32_t ut, uint64_t n) {
-    cells_[schema_.CellIndex(et, co, rt, ut)] += n;
-  }
-
-  void Merge(const SparseCube& other) {
-    for (const auto& [idx, count] : other.cells_) cells_[idx] += count;
-  }
-
-  uint64_t Total() const {
-    uint64_t sum = 0;
-    for (const auto& [idx, count] : cells_) sum += count;
-    return sum;
-  }
-
-  size_t size() const { return cells_.size(); }
-
- private:
-  CubeSchema schema_;
-  std::unordered_map<size_t, uint64_t> cells_;
-};
 
 struct Sample {
   uint32_t et, co, rt, ut;
@@ -51,16 +24,18 @@ struct Sample {
 
 int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(argc, argv);
-  CubeSchema schema = env.schema;
-  const int kOps = 200000;
+  // Paper-scale width: the write path's question is what a 549,000-cell
+  // cube costs when a day's updates touch a few thousand cells.
+  const CubeSchema schema = CubeSchema::PaperScale();
 
   PrintHeader("Ablation: dense vs sparse cube layout",
-              StrFormat("schema %s; %d increments per trial",
-                        schema.ToString().c_str(), kOps));
+              StrFormat("schema %s; two increments per non-zero cell",
+                        schema.ToString().c_str()));
   PrintRow({"fill", "dense add", "sparse add", "dense merge", "sparse merge",
             "dense sum", "sparse sum"});
 
-  for (double fill : {0.01, 0.1, 0.5}) {
+  // 0.3% is a paper-scale day (~1,700 increments).
+  for (double fill : {0.003, 0.01, 0.1, 0.5}) {
     // Pre-draw coordinates hitting ~fill of the cells.
     Rng rng(env.seed + static_cast<uint64_t>(fill * 1000));
     size_t distinct = static_cast<size_t>(
@@ -75,25 +50,28 @@ int main(int argc, char** argv) {
                             static_cast<uint32_t>(rng.Uniform(schema.num_update_types))});
     }
     std::vector<Sample> ops;
-    ops.reserve(kOps);
-    for (int i = 0; i < kOps; ++i) {
+    ops.reserve(2 * distinct);
+    for (size_t i = 0; i < 2 * distinct; ++i) {
       ops.push_back(pool[rng.Uniform(pool.size())]);
     }
 
-    DataCube dense_a(schema), dense_b(schema);
-    SparseCube sparse_a(schema), sparse_b(schema);
-
+    // Each layout starts from nothing, as a day's ingest does.
     StopWatch w1;
+    DataCube dense_a(schema);
     for (const Sample& s : ops) dense_a.Add(s.et, s.co, s.rt, s.ut, 1);
     double dense_add = w1.ElapsedMillis();
     StopWatch w2;
-    for (const Sample& s : ops) sparse_a.Add(s.et, s.co, s.rt, s.ut, 1);
-    double sparse_add = w2.ElapsedMillis();
-
+    std::vector<CubeCell> pairs;
+    pairs.reserve(ops.size());
     for (const Sample& s : ops) {
-      dense_b.Add(s.et, s.co, s.rt, s.ut, 1);
-      sparse_b.Add(s.et, s.co, s.rt, s.ut, 1);
+      pairs.push_back(CubeCell{schema.CellIndex(s.et, s.co, s.rt, s.ut), 1});
     }
+    SparseCube sparse_a = SparseCube::FromPairs(schema, std::move(pairs));
+    double sparse_add = w2.ElapsedMillis();
+    RASED_CHECK(sparse_a.ToDense() == dense_a);
+
+    DataCube dense_b = dense_a;
+    const SparseCube sparse_b = sparse_a;
     StopWatch w3;
     for (int i = 0; i < 10; ++i) {
       Status s = dense_a.Merge(dense_b);
@@ -101,7 +79,10 @@ int main(int argc, char** argv) {
     }
     double dense_merge = w3.ElapsedMillis() / 10;
     StopWatch w4;
-    for (int i = 0; i < 10; ++i) sparse_a.Merge(sparse_b);
+    for (int i = 0; i < 10; ++i) {
+      const SparseCube* parts[] = {&sparse_a, &sparse_b};
+      sparse_a = SparseCube::Merge(schema, parts);
+    }
     double sparse_merge = w4.ElapsedMillis() / 10;
 
     StopWatch w5;
@@ -114,15 +95,16 @@ int main(int argc, char** argv) {
     double sparse_sum = w6.ElapsedMillis() / 10;
     RASED_CHECK(dsum > 0 && ssum > 0);
 
-    PrintRow({StrFormat("%.0f%%", fill * 100), FmtMillis(dense_add),
+    PrintRow({StrFormat("%.1f%%", fill * 100), FmtMillis(dense_add),
               FmtMillis(sparse_add), FmtMillis(dense_merge),
               FmtMillis(sparse_merge), FmtMillis(dense_sum),
               FmtMillis(sparse_sum)});
   }
 
   std::printf(
-      "\nExpected: dense increments are a single indexed add and merges are\n"
-      "linear vector adds; the sparse map only competes on nearly-empty\n"
-      "cubes and loses the fixed-page-size property the index relies on.\n");
+      "\nExpected: at daily-cube fill the sparse cell list wins ingest and\n"
+      "merge by roughly an order of magnitude: the dense cube pays for its\n"
+      "4.4 MB zero-fill and full-width adds; sorting the pairs catches up\n"
+      "around a few percent fill, and dense wins once most cells are set.\n");
   return 0;
 }

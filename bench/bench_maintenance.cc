@@ -2,7 +2,8 @@
 // the day's UpdateList ("10~20 MB", "up to 30 minutes" at planet scale);
 // the index I/O itself is a handful of pages. This bench measures the
 // pipeline's pieces — record generation excluded — across UpdateList
-// sizes, plus the monthly-rebuild cost.
+// sizes, plus the monthly-rebuild cost, on the production write path:
+// cubes built and rolled up as sparse cell lists (DESIGN.md §11.6).
 
 #include "bench_common.h"
 #include "index/cube_builder.h"
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
       auto day_records = gen.GenerateDayRecords(d);
       records += day_records.size();
       StopWatch build_watch;
-      DataCube cube = builder.BuildCube(day_records);
+      SparseCube cube = builder.BuildSparseCube(day_records);
       build_ms += build_watch.ElapsedMillis();
       StopWatch append_watch;
       Status s = index.value()->AppendDay(d, cube);
@@ -79,9 +80,9 @@ int main(int argc, char** argv) {
   CubeBuilder builder(env.schema, world.get());
 
   Date month = Date::FromYmd(2020, 1, 1);
-  std::vector<DataCube> cubes;
+  std::vector<SparseCube> cubes;
   for (Date d = month; d <= month.month_end(); d = d.next()) {
-    DataCube cube = builder.BuildCube(gen.GenerateDayRecords(d));
+    SparseCube cube = builder.BuildSparseCube(gen.GenerateDayRecords(d));
     Status s = index.value()->AppendDay(d, cube);
     RASED_CHECK(s.ok()) << s.ToString();
     cubes.push_back(std::move(cube));

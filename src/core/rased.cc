@@ -220,16 +220,17 @@ Status Rased::IngestDayRecords(Date day,
 
 Status Rased::IngestDayRecordsLocked(
     Date day, const std::vector<UpdateRecord>& records) {
-  DataCube cube(options_.schema);
+  std::vector<CubeCell> pairs;
   for (const UpdateRecord& r : records) {
     if (r.date != day) {
       return Status::InvalidArgument(
           "record dated " + r.date.ToString() +
           " in ingest for " + day.ToString());
     }
-    builder_->AddRecord(r, &cube);
+    builder_->AddRecord(r, &pairs);
   }
-  RASED_RETURN_IF_ERROR(index_->AppendDay(day, cube));
+  RASED_RETURN_IF_ERROR(index_->AppendDay(
+      day, SparseCube::FromPairs(options_.schema, std::move(pairs))));
   if (warehouse_ != nullptr) {
     RASED_RETURN_IF_ERROR(warehouse_->Append(records));
   }
@@ -240,7 +241,7 @@ Status Rased::IngestDayRecordsLocked(
 
 Status Rased::IngestDayCube(Date day, const DataCube& cube) {
   MutexLock lock(&ingest_mu_);
-  RASED_RETURN_IF_ERROR(index_->AppendDay(day, cube));
+  RASED_RETURN_IF_ERROR(index_->AppendDay(day, SparseCube::FromDense(cube)));
   ingest_metrics_.days->Increment();
   return Status::OK();
 }
@@ -258,13 +259,13 @@ Status Rased::ApplyMonthlyArtifacts(Date month_start,
       crawler.CrawlHistory(history_xml, changesets, month, &records));
 
   // One cube per day of the month (empty cubes for quiet days).
-  std::map<Date, DataCube> by_day = builder_->BuildDailyCubes(records);
-  std::vector<DataCube> cubes;
+  std::map<Date, SparseCube> by_day = builder_->BuildSparseDailyCubes(records);
+  std::vector<SparseCube> cubes;
   cubes.reserve(static_cast<size_t>(month.num_days()));
   for (Date d = month.first; d <= month.last; d = d.next()) {
     auto it = by_day.find(d);
     cubes.push_back(it != by_day.end() ? std::move(it->second)
-                                       : DataCube(options_.schema));
+                                       : SparseCube(options_.schema));
   }
   RASED_RETURN_IF_ERROR(index_->RebuildMonth(month_start, cubes));
 

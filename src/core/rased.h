@@ -120,7 +120,8 @@ class Rased {
   Status IngestDayRecords(Date day, const std::vector<UpdateRecord>& records)
       RASED_EXCLUDES(ingest_mu_);
 
-  /// Fast path: append a prebuilt day cube (no warehouse, no crawl).
+  /// Fast path: append a prebuilt day cube (no warehouse, no crawl). The
+  /// dense cube is converted to the sparse write form once, here.
   Status IngestDayCube(Date day, const DataCube& cube)
       RASED_EXCLUDES(ingest_mu_);
 

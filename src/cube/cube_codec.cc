@@ -112,17 +112,15 @@ namespace {
 
 // --- Per-encoding body builders -------------------------------------------
 
-void BuildSparseBody(const CubeSchema& schema,
-                     const std::vector<uint64_t>& cells, size_t nnz,
+/// The COO body of a cube's sorted non-zero cells.
+void BuildSparseBody(const std::vector<CubeCell>& cells,
                      std::vector<unsigned char>* body) {
-  (void)schema;
-  PutVarint(body, nnz);
+  PutVarint(body, cells.size());
   uint64_t next_min = 0;  // smallest index the next entry may use
-  for (size_t idx = 0; idx < cells.size(); ++idx) {
-    if (cells[idx] == 0) continue;
-    PutVarint(body, static_cast<uint64_t>(idx) - next_min);
-    PutVarint(body, cells[idx]);
-    next_min = static_cast<uint64_t>(idx) + 1;
+  for (const CubeCell& cell : cells) {
+    PutVarint(body, cell.index - next_min);
+    PutVarint(body, cell.count);
+    next_min = cell.index + 1;
   }
 }
 
@@ -133,6 +131,17 @@ void BuildDeltaBody(const std::vector<uint64_t>& cells,
     PutVarint(body, ZigzagEncode(cell - prev));
     prev = cell;
   }
+}
+
+/// The adaptive policy's first choice: sparse COO at or below
+/// kSparseDensityThreshold. Shared by both Encode overloads, so a cube
+/// takes the same branch whichever form it arrives in.
+bool SparseCandidate(size_t nnz, size_t num_cells) {
+  const double density =
+      num_cells == 0 ? 0.0
+                     : static_cast<double>(nnz) /
+                           static_cast<double>(num_cells);
+  return density <= kSparseDensityThreshold;
 }
 
 // --- Per-encoding accumulate / decode cores -------------------------------
@@ -149,22 +158,22 @@ inline bool ReadCellVarint(const unsigned char** p, const unsigned char* end,
   return GetVarint(p, end, v).ok();
 }
 
-Status AccumulateSparse(const SliceLuts& luts, const unsigned char* body,
-                        size_t body_bytes, uint64_t* acc) {
+/// The validating core every reader of a COO body goes through: checks
+/// the entry count, every varint, that coordinates stay in range (they
+/// increase by construction, since each gap is non-negative) and that no
+/// bytes trail the last entry, calling on_cell(index, gap, value) per
+/// entry. Corrupt input fails with Corruption, never undefined behavior.
+template <typename OnCell>
+Status ScanSparseBody(uint64_t num_cells, const unsigned char* body,
+                      size_t body_bytes, OnCell&& on_cell) {
   const unsigned char* p = body;
   const unsigned char* end = body + body_bytes;
-  const uint64_t num_cells = luts.schema->num_cells();
-  const uint64_t inner_size = luts.inner.size();
   uint64_t nnz = 0;
   RASED_RETURN_IF_ERROR(GetVarint(&p, end, &nnz));
   if (nnz > num_cells) {
     return Status::Corruption("sparse cube nnz exceeds cell count");
   }
-  // The next index an entry may use, both as a count and split into the
-  // halves the slot tables are indexed by (outer * inner_size + inner),
-  // kept in step so no cell costs a division.
-  uint64_t next_min = 0;
-  uint64_t outer = 0, inner = 0;
+  uint64_t next_min = 0;  // the next index an entry may use
   for (uint64_t i = 0; i < nnz; ++i) {
     uint64_t gap = 0;
     uint64_t value = 0;
@@ -174,25 +183,39 @@ Status AccumulateSparse(const SliceLuts& luts, const unsigned char* body,
     if (gap >= num_cells || next_min + gap >= num_cells) {
       return Status::Corruption("sparse cube coordinate out of range");
     }
-    // Carrying gap into the halves loops at most once per outer row over
-    // the whole body, since every index stays below num_cells.
-    inner += gap;
-    while (inner >= inner_size) {
-      inner -= inner_size;
-      ++outer;
-    }
-    const int64_t slot_a = luts.outer[outer], slot_b = luts.inner[inner];
-    if ((slot_a | slot_b) >= 0) acc[slot_a + slot_b] += value;  // not filtered
+    on_cell(next_min + gap, gap, value);
     next_min += gap + 1;
-    if (++inner == inner_size) {
-      inner = 0;
-      ++outer;
-    }
   }
   if (p != end) {
     return Status::Corruption("trailing bytes after sparse cube body");
   }
   return Status::OK();
+}
+
+Status AccumulateSparse(const SliceLuts& luts, const unsigned char* body,
+                        size_t body_bytes, uint64_t* acc) {
+  const uint64_t inner_size = luts.inner.size();
+  // The next index an entry may use, split into the halves the slot
+  // tables are indexed by (outer * inner_size + inner) and advanced by
+  // each gap, so no cell costs a division.
+  uint64_t outer = 0, inner = 0;
+  return ScanSparseBody(
+      luts.schema->num_cells(), body, body_bytes,
+      [&](uint64_t, uint64_t gap, uint64_t value) {
+        // Carrying gap into the halves loops at most once per outer row
+        // over the whole body, since every index stays below num_cells.
+        inner += gap;
+        while (inner >= inner_size) {
+          inner -= inner_size;
+          ++outer;
+        }
+        const int64_t slot_a = luts.outer[outer], slot_b = luts.inner[inner];
+        if ((slot_a | slot_b) >= 0) acc[slot_a + slot_b] += value;
+        if (++inner == inner_size) {
+          inner = 0;
+          ++outer;
+        }
+      });
 }
 
 Status AccumulateDelta(const SliceLuts& luts, const unsigned char* body,
@@ -312,59 +335,92 @@ Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
   }
   // Decode through the accumulate core with a fully-grouped identity spec:
   // every slot of the packed accumulator is one cell in cell order, so the
-  // same validated streaming path serves both aggregation and decoding.
-  std::vector<uint64_t> cells(schema.num_cells(), 0);
+  // same validated streaming path serves both aggregation and decoding,
+  // writing straight into the cube's own counters.
+  DataCube cube(schema);
   CubeSlice all;
   GroupBySpec every{/*element_type=*/true, /*country=*/true,
                     /*road_type=*/true, /*update_type=*/true};
   RASED_RETURN_IF_ERROR(AccumulateEncodedSlice(SliceLuts(schema, all, every),
                                                encoding, body, body_bytes,
-                                               cells.data()));
-  return DataCube::FromCells(schema, cells.data());
+                                               cube.mutable_cells()));
+  return cube;
+}
+
+Result<SparseCube> DecodeSparseCube(const CubeSchema& schema,
+                                    CubeEncoding encoding,
+                                    const unsigned char* body,
+                                    size_t body_bytes) {
+  if (encoding != CubeEncoding::kSparseCoo) {
+    // Dense and delta bodies only occur above the sparse threshold, where
+    // the dense image is the natural intermediate.
+    RASED_ASSIGN_OR_RETURN(
+        DataCube dense, DecodeEncodedCube(schema, encoding, body, body_bytes));
+    return SparseCube::FromDense(dense);
+  }
+  std::vector<CubeCell> cells;
+  cells.reserve(body_bytes / 2);  // every entry takes at least two bytes
+  RASED_RETURN_IF_ERROR(ScanSparseBody(
+      schema.num_cells(), body, body_bytes,
+      [&](uint64_t index, uint64_t, uint64_t value) {
+        cells.push_back(CubeCell{index, value});
+      }));
+  // Already strictly increasing; FromPairs only drops zero values, which
+  // the encoder never writes.
+  return SparseCube::FromPairs(schema, std::move(cells));
 }
 
 EncodedCube EncodedCube::Encode(const DataCube& cube,
                                 CubeEncodingPolicy policy) {
-  EncodedCube out;
-  out.schema_ = cube.schema();
   const std::vector<uint64_t>& cells = cube.cells();
-  const size_t dense_bytes = out.schema_.cube_bytes();
-
-  std::vector<unsigned char> body;
   if (policy == CubeEncodingPolicy::kAdaptive) {
     size_t nnz = 0;
     for (uint64_t cell : cells) nnz += cell != 0 ? 1 : 0;
-    const double density =
-        cells.empty() ? 0.0
-                      : static_cast<double>(nnz) /
-                            static_cast<double>(cells.size());
-    if (density <= kSparseDensityThreshold) {
-      out.encoding_ = CubeEncoding::kSparseCoo;
-      body.reserve(2 * kMaxVarintBytes * nnz + kMaxVarintBytes);
-      BuildSparseBody(out.schema_, cells, nnz, &body);
-    } else {
-      out.encoding_ = CubeEncoding::kDeltaVarint;
-      body.reserve(cells.size() * 2);
-      BuildDeltaBody(cells, &body);
+    if (SparseCandidate(nnz, cells.size())) {
+      return Encode(SparseCube::FromDense(cube), policy);
     }
-    if (body.size() >= dense_bytes) {
-      // Never-bigger-than-dense: an incompressible cube stores dense.
-      body.clear();
-      out.encoding_ = CubeEncoding::kDenseRaw;
+    std::vector<unsigned char> body;
+    body.reserve(cells.size() * 2);
+    BuildDeltaBody(cells, &body);
+    // Never-bigger-than-dense: an incompressible cube stores dense.
+    if (body.size() < cube.schema().cube_bytes()) {
+      return FromBody(cube.schema(), CubeEncoding::kDeltaVarint, body);
     }
-  } else {
-    out.encoding_ = CubeEncoding::kDenseRaw;
   }
+  EncodedCube out;
+  out.schema_ = cube.schema();
+  out.encoding_ = CubeEncoding::kDenseRaw;
+  out.body_bytes_ = out.schema_.cube_bytes();
+  out.words_.assign((out.body_bytes_ + 7) / 8, 0);
+  cube.SerializeTo(reinterpret_cast<unsigned char*>(out.words_.data()));
+  return out;
+}
 
-  if (out.encoding_ == CubeEncoding::kDenseRaw) {
-    out.words_.assign((dense_bytes + 7) / 8, 0);
-    cube.SerializeTo(reinterpret_cast<unsigned char*>(out.words_.data()));
-    out.body_bytes_ = dense_bytes;
-  } else {
-    out.words_.assign((body.size() + 7) / 8, 0);
-    std::memcpy(out.words_.data(), body.data(), body.size());
-    out.body_bytes_ = body.size();
+EncodedCube EncodedCube::Encode(const SparseCube& cube,
+                                CubeEncodingPolicy policy) {
+  const CubeSchema& schema = cube.schema();
+  if (policy != CubeEncodingPolicy::kAdaptive ||
+      !SparseCandidate(cube.nnz(), schema.num_cells())) {
+    return Encode(cube.ToDense(), policy);
   }
+  std::vector<unsigned char> body;
+  body.reserve(2 * kMaxVarintBytes * cube.nnz() + kMaxVarintBytes);
+  BuildSparseBody(cube.cells(), &body);
+  if (body.size() >= schema.cube_bytes()) {
+    return Encode(cube.ToDense(), CubeEncodingPolicy::kForceDense);
+  }
+  return FromBody(schema, CubeEncoding::kSparseCoo, body);
+}
+
+EncodedCube EncodedCube::FromBody(const CubeSchema& schema,
+                                  CubeEncoding encoding,
+                                  const std::vector<unsigned char>& body) {
+  EncodedCube out;
+  out.schema_ = schema;
+  out.encoding_ = encoding;
+  out.words_.assign((body.size() + 7) / 8, 0);
+  std::memcpy(out.words_.data(), body.data(), body.size());
+  out.body_bytes_ = body.size();
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include "cube/cube_schema.h"
 #include "cube/data_cube.h"
+#include "cube/sparse_cube.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -121,11 +122,21 @@ Status AccumulateEncodedSlice(const SliceLuts& luts, CubeEncoding encoding,
                               uint64_t* acc);
 
 
-/// Decodes an encoded body back to a dense cube.
+/// Decodes an encoded body back to a dense cube, straight into the cube's
+/// own counters.
 Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
                                    CubeEncoding encoding,
                                    const unsigned char* body,
                                    size_t body_bytes);
+
+/// Decodes an encoded body to the sparse write form. A COO body is parsed
+/// cell by cell through the same validating core as AccumulateEncodedSlice
+/// (so it rejects exactly the same corrupt bodies); dense and delta bodies
+/// are decoded dense, then scanned.
+Result<SparseCube> DecodeSparseCube(const CubeSchema& schema,
+                                    CubeEncoding encoding,
+                                    const unsigned char* body,
+                                    size_t body_bytes);
 
 /// One encoded cube: encoding tag + owned 8-byte-aligned body. This is
 /// also the only form a cube takes in the cache (cache/cube_cache.h):
@@ -134,10 +145,19 @@ class EncodedCube {
  public:
   EncodedCube() = default;
 
-  /// Encodes `cube` under `policy` (see CubeEncodingPolicy). Total cost is
-  /// one density scan plus one candidate build per cube at ingest time.
+  /// Encodes `cube` under `policy` (see CubeEncodingPolicy): one density
+  /// scan plus one candidate build.
   static EncodedCube Encode(
       const DataCube& cube,
+      CubeEncodingPolicy policy = CubeEncodingPolicy::kAdaptive);
+
+  /// The write path's encoder. Makes the same choice as the dense overload
+  /// and yields a byte-identical blob: at or below kSparseDensityThreshold
+  /// the COO body is written straight from the cell list; above it (or
+  /// under kForceDense) the cube is materialized dense once and encoded by
+  /// the dense overload.
+  static EncodedCube Encode(
+      const SparseCube& cube,
       CubeEncodingPolicy policy = CubeEncodingPolicy::kAdaptive);
 
   const CubeSchema& schema() const { return schema_; }
@@ -161,6 +181,9 @@ class EncodedCube {
 
  private:
   friend class EncodedCubeBatch;
+
+  static EncodedCube FromBody(const CubeSchema& schema, CubeEncoding encoding,
+                              const std::vector<unsigned char>& body);
 
   CubeSchema schema_;
   CubeEncoding encoding_ = CubeEncoding::kDenseRaw;

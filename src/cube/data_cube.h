@@ -76,10 +76,12 @@ class ConstCubeRef {
 };
 
 /// A dense 4-D array of update counters — one index node's precomputed
-/// statistics (Section VI-A). The dense layout makes the two operations the
-/// index performs constantly trivial and fast: per-update increments during
-/// daily maintenance and whole-cube vector adds during weekly/monthly/
-/// yearly rollups.
+/// statistics (Section VI-A) laid out for aggregation: the query kernels
+/// stride over it. It is not the write form. Maintenance builds, rolls up
+/// and encodes cubes as SparseCube cell lists (cube/sparse_cube.h), since
+/// a day's updates touch a few thousand of a paper-scale cube's 549,000
+/// cells; a DataCube handed to the index is converted once at its API
+/// edge.
 class DataCube {
  public:
   /// A zero-filled cube.
@@ -102,8 +104,8 @@ class DataCube {
   uint64_t Get(uint32_t element_type, uint32_t country, uint32_t road_type,
                uint32_t update_type) const;
 
-  /// Element-wise sum with another cube of the same schema — the rollup
-  /// operation building weekly/monthly/yearly cubes from their children.
+  /// Element-wise sum with another cube of the same schema, modulo 2^64
+  /// (SparseCube::Merge is the index's rollup and sums the same way).
   Status Merge(const DataCube& other);
 
   void Clear();
@@ -126,6 +128,10 @@ class DataCube {
 
   /// Raw counters in schema cell order.
   const std::vector<uint64_t>& cells() const { return cells_; }
+
+  /// Writable counters (num_cells() of them), for decoders and builders
+  /// that fill a cube in place.
+  uint64_t* mutable_cells() { return cells_.data(); }
 
   // --- serialization (page payload format: raw little-endian counters) ---
 

@@ -6,6 +6,7 @@
 
 #include "collect/update_record.h"
 #include "cube/data_cube.h"
+#include "cube/sparse_cube.h"
 #include "geo/world_map.h"
 #include "util/date.h"
 #include "util/result.h"
@@ -16,6 +17,11 @@ namespace rased {
 /// the cell of its country *and* of every zone of interest containing it
 /// (continent, US state), so the aggregate zones the paper exposes in the
 /// Country dimension stay consistent with their members.
+///
+/// The ingest paths build SparseCubes (the write form, cube/sparse_cube.h):
+/// each record becomes one (cell, 1) pair per zone, and the pairs are
+/// sorted and coalesced once per cube. The DataCube overloads map records
+/// to the same cells and serve callers that want the dense image.
 class CubeBuilder {
  public:
   /// The world map's zone count must equal schema.num_countries (zone ids
@@ -24,19 +30,34 @@ class CubeBuilder {
 
   const CubeSchema& schema() const { return schema_; }
 
-  /// Adds one record to `cube`. The record's date is not checked — callers
-  /// route records to the cube of the right day.
+  /// Appends one (cell, 1) pair per cell the record increments. The
+  /// record's date is not checked — callers route records to the cube of
+  /// the right day, then build it with SparseCube::FromPairs.
+  void AddRecord(const UpdateRecord& record,
+                 std::vector<CubeCell>* pairs) const;
+
+  /// Adds one record to a dense cube (the same cells).
   void AddRecord(const UpdateRecord& record, DataCube* cube) const;
 
   /// Builds one cube from all records (regardless of date) — the daily
   /// maintenance path, where the input is one day's UpdateList.
-  DataCube BuildCube(const std::vector<UpdateRecord>& records) const;
+  SparseCube BuildSparseCube(const std::vector<UpdateRecord>& records) const;
 
-  /// Groups records by date into per-day cubes (missing days absent).
+  /// Groups records by date into per-day cubes (missing days absent) — the
+  /// monthly rebuild path.
+  std::map<Date, SparseCube> BuildSparseDailyCubes(
+      const std::vector<UpdateRecord>& records) const;
+
+  /// Dense images of BuildSparseCube / BuildSparseDailyCubes.
+  DataCube BuildCube(const std::vector<UpdateRecord>& records) const;
   std::map<Date, DataCube> BuildDailyCubes(
       const std::vector<UpdateRecord>& records) const;
 
  private:
+  /// Calls visit(cell_index) once per cell `record` increments.
+  template <typename Visit>
+  void ForEachCell(const UpdateRecord& record, Visit&& visit) const;
+
   CubeSchema schema_;
   const WorldMap* world_;
 };

@@ -406,7 +406,7 @@ Status TemporalIndex::Sync() {
 // ---- staging ----
 
 Status TemporalIndex::StageCube(Staging* staging, const CubeKey& key,
-                                const DataCube& cube) {
+                                const SparseCube& cube) {
   EncodedCube encoded = EncodedCube::Encode(cube, options_.encoding);
   const size_t blob_bytes = encoded.SerializedBytes();
   const size_t payload = pager_->payload_size();
@@ -456,8 +456,8 @@ std::optional<CubeLoc> TemporalIndex::StagedLocOf(const Staging& staging,
   return CatalogSnapshot(staging.base).LocOf(key);
 }
 
-Result<DataCube> TemporalIndex::ReadCubeAtLoc(const CubeLoc& loc,
-                                              IoStats* io) const {
+Result<TemporalIndex::BlobBody> TemporalIndex::ReadBlobAtLoc(
+    const CubeLoc& loc, IoStats* io, std::vector<unsigned char>* buf) const {
   const size_t payload = pager_->payload_size();
   std::vector<PageId> pages;
   pages.reserve(loc.num_pages);
@@ -465,49 +465,55 @@ Result<DataCube> TemporalIndex::ReadCubeAtLoc(const CubeLoc& loc,
   // The run is consecutive, so this is one coalesced pread charged as a
   // single read_op of num_pages page_reads — identical accounting to the
   // batched path.
-  std::vector<unsigned char> buf(loc.num_pages * payload);
-  RASED_RETURN_IF_ERROR(pager_->ReadPages(pages, buf.data(), io));
+  buf->resize(loc.num_pages * payload);
+  RASED_RETURN_IF_ERROR(pager_->ReadPages(pages, buf->data(), io));
   if (metrics_.cube_reads != nullptr) metrics_.cube_reads->Increment();
   if (loc.legacy) {
-    if (buf.size() < options_.schema.cube_bytes()) {
+    if (buf->size() < options_.schema.cube_bytes()) {
       return Status::Corruption("legacy cube page smaller than a dense cube");
     }
-    return DataCube::Deserialize(options_.schema, buf.data(),
-                                 options_.schema.cube_bytes());
+    return BlobBody{CubeEncoding::kDenseRaw, buf->data(),
+                    options_.schema.cube_bytes()};
   }
   if (loc.blob_bytes < CubeBlobHeader::kBytes ||
-      loc.blob_bytes > buf.size()) {
+      loc.blob_bytes > buf->size()) {
     return Status::Corruption("catalog blob length exceeds its page run");
   }
   RASED_ASSIGN_OR_RETURN(CubeBlobHeader header,
-                         CubeBlobHeader::Parse(buf.data(), buf.size()));
+                         CubeBlobHeader::Parse(buf->data(), buf->size()));
   if (header.body_bytes != loc.blob_bytes - CubeBlobHeader::kBytes) {
     return Status::Corruption("cube blob length disagrees with catalog");
   }
   if (header.encoding != loc.encoding) {
     return Status::Corruption("cube blob encoding disagrees with catalog");
   }
-  return DecodeEncodedCube(options_.schema, header.encoding,
-                           buf.data() + CubeBlobHeader::kBytes,
-                           static_cast<size_t>(header.body_bytes));
+  return BlobBody{header.encoding, buf->data() + CubeBlobHeader::kBytes,
+                  static_cast<size_t>(header.body_bytes)};
 }
 
-Result<DataCube> TemporalIndex::BuildFromChildren(
+Result<SparseCube> TemporalIndex::BuildFromChildren(
     const Staging& staging, const CubeKey& parent,
-    const CubeKey* in_memory_key, const DataCube* in_memory_cube) const {
-  DataCube sum(options_.schema);
-  for (const CubeKey& child : parent.Children()) {
+    const CubeKey* in_memory_key, const SparseCube* in_memory_cube) const {
+  const std::vector<CubeKey> children = parent.Children();
+  std::vector<SparseCube> read;
+  read.reserve(children.size());  // `parts` points into it
+  std::vector<const SparseCube*> parts;
+  std::vector<unsigned char> buf;
+  for (const CubeKey& child : children) {
     if (in_memory_key != nullptr && child == *in_memory_key) {
-      RASED_RETURN_IF_ERROR(sum.Merge(*in_memory_cube));
+      parts.push_back(in_memory_cube);
       continue;
     }
     std::optional<CubeLoc> loc = StagedLocOf(staging, child);
     if (!loc.has_value()) continue;  // index may start mid-window
-    auto cube = ReadCubeAtLoc(*loc, nullptr);
-    if (!cube.ok()) return cube.status();
-    RASED_RETURN_IF_ERROR(sum.Merge(cube.value()));
+    RASED_ASSIGN_OR_RETURN(BlobBody body, ReadBlobAtLoc(*loc, nullptr, &buf));
+    RASED_ASSIGN_OR_RETURN(
+        SparseCube cube, DecodeSparseCube(options_.schema, body.encoding,
+                                          body.data, body.bytes));
+    read.push_back(std::move(cube));
+    parts.push_back(&read.back());
   }
-  return sum;
+  return SparseCube::Merge(options_.schema, parts);
 }
 
 void TemporalIndex::PublishLocked(Staging* staging) {
@@ -576,7 +582,10 @@ Result<DataCube> TemporalIndex::ReadCube(const CatalogSnapshot& snapshot,
   if (!loc.has_value()) {
     return Status::NotFound("no cube for " + key.ToString());
   }
-  return ReadCubeAtLoc(*loc, io);
+  std::vector<unsigned char> buf;
+  RASED_ASSIGN_OR_RETURN(BlobBody body, ReadBlobAtLoc(*loc, io, &buf));
+  return DecodeEncodedCube(options_.schema, body.encoding, body.data,
+                           body.bytes);
 }
 
 Result<EncodedCubeBatch> TemporalIndex::ReadCubes(
@@ -628,6 +637,10 @@ Result<EncodedCubeBatch> TemporalIndex::ReadCubes(
 // ---- maintenance ----
 
 Status TemporalIndex::AppendDay(Date day, const DataCube& cube) {
+  return AppendDay(day, SparseCube::FromDense(cube));
+}
+
+Status TemporalIndex::AppendDay(Date day, const SparseCube& cube) {
   if (!(cube.schema() == options_.schema)) {
     return Status::InvalidArgument("cube schema mismatch");
   }
@@ -645,39 +658,34 @@ Status TemporalIndex::AppendDay(Date day, const DataCube& cube) {
       staging.base->first_day.has_value() ? staging.base->first_day : day;
   staging.last_day = day;
 
-  // Stage the day, then boundary rollups. `latest` tracks the most
-  // recently built cube so each parent reads only the children it does
-  // not already hold in memory, matching the paper's I/O counts
-  // (Section VI-A). Nothing here is visible to readers yet.
+  // Stage the day, then boundary rollups. `latest` is the most recently
+  // built cube, so each parent reads only the children it does not
+  // already hold in memory, matching the paper's I/O counts (Section
+  // VI-A). Nothing here is visible to readers yet.
   auto stage_all = [&]() -> Status {
     RASED_RETURN_IF_ERROR(StageCube(&staging, CubeKey::Daily(day), cube));
     CubeKey latest_key = CubeKey::Daily(day);
-    DataCube latest = cube;
+    const SparseCube* latest = &cube;
+    SparseCube built(options_.schema);  // owns `latest` once a rollup ran
 
-    if (day.is_week_end() && LevelEnabled(Level::kWeekly)) {
-      CubeKey key = CubeKey::Weekly(day);
+    auto rollup = [&](const CubeKey& key) -> Status {
       RASED_ASSIGN_OR_RETURN(
-          DataCube weekly,
-          BuildFromChildren(staging, key, &latest_key, &latest));
-      RASED_RETURN_IF_ERROR(StageCube(&staging, key, weekly));
+          SparseCube parent,
+          BuildFromChildren(staging, key, &latest_key, latest));
+      RASED_RETURN_IF_ERROR(StageCube(&staging, key, parent));
       latest_key = key;
-      latest = std::move(weekly);
+      built = std::move(parent);
+      latest = &built;
+      return Status::OK();
+    };
+    if (day.is_week_end() && LevelEnabled(Level::kWeekly)) {
+      RASED_RETURN_IF_ERROR(rollup(CubeKey::Weekly(day)));
     }
     if (day.is_month_end() && LevelEnabled(Level::kMonthly)) {
-      CubeKey key = CubeKey::Monthly(day);
-      RASED_ASSIGN_OR_RETURN(
-          DataCube monthly,
-          BuildFromChildren(staging, key, &latest_key, &latest));
-      RASED_RETURN_IF_ERROR(StageCube(&staging, key, monthly));
-      latest_key = key;
-      latest = std::move(monthly);
+      RASED_RETURN_IF_ERROR(rollup(CubeKey::Monthly(day)));
     }
     if (day.is_year_end() && LevelEnabled(Level::kYearly)) {
-      CubeKey key = CubeKey::Yearly(day);
-      RASED_ASSIGN_OR_RETURN(
-          DataCube yearly,
-          BuildFromChildren(staging, key, &latest_key, &latest));
-      RASED_RETURN_IF_ERROR(StageCube(&staging, key, yearly));
+      RASED_RETURN_IF_ERROR(rollup(CubeKey::Yearly(day)));
     }
     return Status::OK();
   };
@@ -694,6 +702,16 @@ Status TemporalIndex::AppendDay(Date day, const DataCube& cube) {
 
 Status TemporalIndex::RebuildMonth(Date month_start,
                                    const std::vector<DataCube>& cubes) {
+  std::vector<SparseCube> sparse;
+  sparse.reserve(cubes.size());
+  for (const DataCube& cube : cubes) {
+    sparse.push_back(SparseCube::FromDense(cube));
+  }
+  return RebuildMonth(month_start, sparse);
+}
+
+Status TemporalIndex::RebuildMonth(Date month_start,
+                                   const std::vector<SparseCube>& cubes) {
   if (!month_start.is_month_start()) {
     return Status::InvalidArgument("RebuildMonth expects the month's first day");
   }
@@ -732,31 +750,31 @@ Status TemporalIndex::RebuildMonth(Date month_start,
           &staging, CubeKey::Daily(month_start.AddDays(d)), cubes[d]));
     }
 
-    // Rebuild weekly cubes in memory from the supplied dailies.
-    DataCube monthly(options_.schema);
+    // Rebuild weekly cubes in memory from the supplied dailies; the
+    // monthly sums the weeklies (or the first 28 days) plus the rest.
+    std::vector<SparseCube> weeks;
+    std::vector<const SparseCube*> month_parts;
     if (LevelEnabled(Level::kWeekly)) {
+      weeks.reserve(4);
       for (int w = 0; w < 4; ++w) {
-        DataCube weekly(options_.schema);
-        for (int i = 0; i < 7; ++i) {
-          RASED_RETURN_IF_ERROR(weekly.Merge(cubes[7 * w + i]));
-        }
+        const SparseCube* days[7];
+        for (int i = 0; i < 7; ++i) days[i] = &cubes[7 * w + i];
+        weeks.push_back(SparseCube::Merge(options_.schema, days));
         RASED_RETURN_IF_ERROR(StageCube(
             &staging, CubeKey{Level::kWeekly, month_start.AddDays(7 * w)},
-            weekly));
-        RASED_RETURN_IF_ERROR(monthly.Merge(weekly));
+            weeks.back()));
+        month_parts.push_back(&weeks.back());
       }
     } else {
-      for (int d = 0; d < 28; ++d) {
-        RASED_RETURN_IF_ERROR(monthly.Merge(cubes[d]));
-      }
+      for (int d = 0; d < 28; ++d) month_parts.push_back(&cubes[d]);
     }
-    for (int d = 28; d < dim; ++d) {
-      RASED_RETURN_IF_ERROR(monthly.Merge(cubes[d]));
-    }
+    for (int d = 28; d < dim; ++d) month_parts.push_back(&cubes[d]);
     CubeKey monthly_key = CubeKey::Monthly(month_start);
     if (LevelEnabled(Level::kMonthly) &&
         StagedLocOf(staging, monthly_key).has_value()) {
-      RASED_RETURN_IF_ERROR(StageCube(&staging, monthly_key, monthly));
+      RASED_RETURN_IF_ERROR(StageCube(
+          &staging, monthly_key,
+          SparseCube::Merge(options_.schema, month_parts)));
     }
 
     // If the containing year is closed, refresh the yearly cube from its
@@ -765,7 +783,7 @@ Status TemporalIndex::RebuildMonth(Date month_start,
     if (LevelEnabled(Level::kYearly) &&
         StagedLocOf(staging, yearly).has_value()) {
       RASED_ASSIGN_OR_RETURN(
-          DataCube year_cube,
+          SparseCube year_cube,
           BuildFromChildren(staging, yearly, nullptr, nullptr));
       RASED_RETURN_IF_ERROR(StageCube(&staging, yearly, year_cube));
     }

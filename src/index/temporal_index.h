@@ -162,6 +162,9 @@ class CatalogSnapshot {
 ///  * RebuildMonth re-derives a whole month's daily/weekly/monthly (and,
 ///    if closed, yearly) cubes from monthly-crawler data that carries the
 ///    full four-way UpdateType classification.
+/// Both stage, merge and encode cubes in the sparse write form
+/// (cube/sparse_cube.h), so their work tracks the updates, not the cube
+/// width; the DataCube overloads convert once and take the same path.
 ///
 /// Threading contract (MVCC): const means thread-safe AND never waiting on
 /// maintenance work. The catalog is published as immutable versions
@@ -202,14 +205,17 @@ class TemporalIndex {
   /// consecutive order starting from the first day ever appended; gaps are
   /// InvalidArgument (RASED crawls every day). Publishes exactly one new
   /// catalog version covering the day and its boundary rollups.
-  Status AppendDay(Date day, const DataCube& cube)
+  Status AppendDay(Date day, const SparseCube& cube)
       RASED_EXCLUDES(maint_mu_);
+  Status AppendDay(Date day, const DataCube& cube) RASED_EXCLUDES(maint_mu_);
 
   /// Replaces the daily cubes of `month` (the cubes vector holds one cube
   /// per day of the month, in order) and rebuilds every affected ancestor,
   /// mirroring the monthly-crawler maintenance path (Section VI-A). The
   /// whole rebuild lands in one published version; readers pinned to the
   /// old version keep reading the old pages.
+  Status RebuildMonth(Date month_start, const std::vector<SparseCube>& cubes)
+      RASED_EXCLUDES(maint_mu_);
   Status RebuildMonth(Date month_start, const std::vector<DataCube>& cubes)
       RASED_EXCLUDES(maint_mu_);
 
@@ -317,25 +323,36 @@ class TemporalIndex {
   /// Encodes `cube` (per options_.encoding), writes the blob to a fresh
   /// run of consecutive pages (never overwriting a published page), and
   /// records its CubeLoc in the staging map. If the key shadows a base
-  /// cube, all pages of that cube's run join staging.dropped.
-  Status StageCube(Staging* staging, const CubeKey& key, const DataCube& cube);
+  /// cube, all pages of that cube's run join staging.dropped. The one
+  /// staging path of every maintenance pass.
+  Status StageCube(Staging* staging, const CubeKey& key,
+                   const SparseCube& cube);
 
   /// Resolves `key` staged-first, then against the staging's base version.
   std::optional<CubeLoc> StagedLocOf(const Staging& staging,
                                      const CubeKey& key) const;
 
   /// Builds a parent cube by reading each existing child (staged or base)
-  /// from disk and merging. `in_memory_*` (optional) supplies one child
-  /// already in memory so the paper's "read the six previous cubes" I/O
-  /// pattern is preserved.
-  Result<DataCube> BuildFromChildren(const Staging& staging,
-                                     const CubeKey& parent,
-                                     const CubeKey* in_memory_key,
-                                     const DataCube* in_memory_cube) const;
+  /// from disk and merging them in one k-way pass. `in_memory_*`
+  /// (optional) supplies one child already in memory so the paper's "read
+  /// the six previous cubes" I/O pattern is preserved.
+  Result<SparseCube> BuildFromChildren(const Staging& staging,
+                                       const CubeKey& parent,
+                                       const CubeKey* in_memory_key,
+                                       const SparseCube* in_memory_cube) const;
 
-  /// Reads `loc`'s page run in one coalesced pread and decodes the cube
-  /// (blob-header path for encoded cubes, raw dense for legacy entries).
-  Result<DataCube> ReadCubeAtLoc(const CubeLoc& loc, IoStats* io) const;
+  /// One cube blob read into a caller's buffer: its encoding and body.
+  struct BlobBody {
+    CubeEncoding encoding;
+    const unsigned char* data;
+    size_t bytes;
+  };
+
+  /// Reads `loc`'s page run into `buf` in one coalesced pread and locates
+  /// the body (blob-header path for encoded cubes, raw dense for legacy
+  /// entries), checking the header against the catalog.
+  Result<BlobBody> ReadBlobAtLoc(const CubeLoc& loc, IoStats* io,
+                                 std::vector<unsigned char>* buf) const;
 
   /// Builds the next version from `staging` (copy-on-write per level),
   /// swaps it in, retires the base version, and runs a reclamation sweep.

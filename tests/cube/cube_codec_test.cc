@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "cube/data_cube.h"
+#include "cube/sparse_cube.h"
 #include "util/random.h"
 
 namespace rased {
@@ -275,6 +277,193 @@ TEST(CubeCodecTest, BatchLegacyDenseBindReadsRawImage) {
   auto decoded = batch.Decode(0);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), cube);
+}
+
+// --- The sparse write form's encoder and decoder ---------------------------
+
+/// 1 x 10 x 25 x 4 = 1000 cells, so a cube of exactly 100 non-zero cells
+/// sits on kSparseDensityThreshold.
+CubeSchema ThousandCellSchema() { return CubeSchema{1, 10, 25, 4}; }
+
+constexpr uint64_t kHighBit = uint64_t{1} << 63;
+
+/// One cube built two ways from the same cells: dense increments, and
+/// shuffled (index, count) pairs that split each count in up to three
+/// (so FromPairs must sort and coalesce). `nnz` distinct cells are
+/// non-zero — always including the first and last cell when nnz >= 2 —
+/// some with counts of 2^63 and above; a few more cells get pairs that
+/// wrap to 0 modulo 2^64 and must vanish.
+struct TwinCubes {
+  DataCube dense;
+  SparseCube sparse;
+};
+
+TwinCubes RandomTwins(const CubeSchema& schema, size_t nnz, uint64_t seed) {
+  Rng rng(seed);
+  const size_t n = schema.num_cells();
+  std::vector<uint64_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  for (size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.Uniform(i)]);
+  if (nnz >= 2) {
+    // Pin the first and last cell into the chosen prefix.
+    std::swap(*std::find(order.begin(), order.end(), 0), order[0]);
+    std::swap(*std::find(order.begin(), order.end(), n - 1), order[1]);
+  }
+  DataCube dense(schema);
+  std::vector<CubeCell> pairs;
+  for (size_t i = 0; i < nnz; ++i) {
+    const uint64_t cell = order[i];
+    uint64_t count = rng.Uniform(5) == 0 ? kHighBit + rng.Uniform(1000)
+                                         : rng.Uniform(300) + 1;
+    dense.mutable_cells()[cell] = count;
+    const uint64_t part = count / 3;
+    pairs.push_back(CubeCell{cell, count - 2 * part});
+    if (part != 0) {
+      pairs.push_back(CubeCell{cell, part});
+      pairs.push_back(CubeCell{cell, part});
+    }
+  }
+  // Cells whose pairs sum to 2^64.
+  for (size_t i = nnz; i < std::min(n, nnz + 3); ++i) {
+    const uint64_t lo = rng.Uniform(1000) + 1;
+    pairs.push_back(CubeCell{order[i], lo});
+    pairs.push_back(CubeCell{order[i], 0 - lo});
+  }
+  for (size_t i = pairs.size(); i > 1; --i) {
+    std::swap(pairs[i - 1], pairs[rng.Uniform(i)]);
+  }
+  return TwinCubes{std::move(dense),
+                   SparseCube::FromPairs(schema, std::move(pairs))};
+}
+
+std::vector<unsigned char> BlobOf(const EncodedCube& encoded) {
+  std::vector<unsigned char> blob(encoded.SerializedBytes());
+  encoded.SerializeTo(blob.data());
+  return blob;
+}
+
+TEST(CubeCodecTest, SparseEncodeIsByteIdenticalToDense) {
+  const CubeSchema schema = ThousandCellSchema();
+  // Non-zero counts straddling the 10% threshold (100 of 1000 cells).
+  for (size_t nnz : {0, 1, 2, 50, 99, 100, 101, 150, 400, 1000}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "nnz=" << nnz << " seed=" << seed);
+      TwinCubes twins = RandomTwins(schema, nnz, seed);
+      ASSERT_EQ(twins.sparse.nnz(), nnz);
+      EXPECT_EQ(twins.sparse.ToDense(), twins.dense);
+      EXPECT_EQ(SparseCube::FromDense(twins.dense), twins.sparse);
+      for (CubeEncodingPolicy policy :
+           {CubeEncodingPolicy::kAdaptive, CubeEncodingPolicy::kForceDense}) {
+        EncodedCube from_sparse = EncodedCube::Encode(twins.sparse, policy);
+        EXPECT_EQ(BlobOf(from_sparse),
+                  BlobOf(EncodedCube::Encode(twins.dense, policy)));
+        if (policy == CubeEncodingPolicy::kAdaptive) {
+          EXPECT_EQ(from_sparse.encoding() == CubeEncoding::kSparseCoo,
+                    nnz <= 100);
+        }
+      }
+    }
+  }
+}
+
+TEST(CubeCodecTest, SparseMergeEncodesLikeDenseSum) {
+  const CubeSchema schema = ThousandCellSchema();
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    std::vector<TwinCubes> twins;
+    for (size_t nnz : {30, 2, 70, 0, 45}) {
+      twins.push_back(RandomTwins(schema, nnz, seed * 10 + nnz));
+    }
+    // Two more parts that cancel a cell of the first to 0 mod 2^64.
+    const CubeCell victim = twins[0].sparse.cells()[0];
+    twins.push_back(TwinCubes{
+        DataCube(schema),
+        SparseCube::FromPairs(schema, {{victim.index, 0 - victim.count}})});
+    twins.back().dense.mutable_cells()[victim.index] = 0 - victim.count;
+
+    DataCube dense_sum(schema);
+    std::vector<const SparseCube*> parts;
+    for (const TwinCubes& t : twins) {
+      ASSERT_TRUE(dense_sum.Merge(t.dense).ok());
+      parts.push_back(&t.sparse);
+    }
+    const SparseCube merged = SparseCube::Merge(schema, parts);
+    EXPECT_EQ(merged, SparseCube::FromDense(dense_sum)) << seed;
+    EXPECT_EQ(BlobOf(EncodedCube::Encode(merged)),
+              BlobOf(EncodedCube::Encode(dense_sum)))
+        << seed;
+  }
+}
+
+TEST(CubeCodecTest, EmptySparseCubeEncodesLikeEmptyDense) {
+  const CubeSchema schema = TinySchema();
+  const SparseCube wrapped =
+      SparseCube::FromPairs(schema, {{7, kHighBit}, {7, kHighBit}});
+  for (const SparseCube& empty : {SparseCube(schema), wrapped}) {
+    EXPECT_EQ(empty.nnz(), 0u);
+    EXPECT_EQ(BlobOf(EncodedCube::Encode(empty)),
+              BlobOf(EncodedCube::Encode(DataCube(schema))));
+  }
+  EXPECT_EQ(SparseCube::Merge(schema, {}), SparseCube(schema));
+}
+
+TEST(CubeCodecTest, SparseDecodeRoundTripsEveryEncoding) {
+  const CubeSchema schema = TinySchema();
+  for (double density : kDensities) {
+    DataCube cube = RandomCube(schema, density, 77);
+    for (CubeEncodingPolicy policy :
+         {CubeEncodingPolicy::kAdaptive, CubeEncodingPolicy::kForceDense}) {
+      EncodedCube encoded = EncodedCube::Encode(cube, policy);
+      auto decoded = DecodeSparseCube(schema, encoded.encoding(),
+                                      encoded.body(), encoded.body_bytes());
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(decoded.value(), SparseCube::FromDense(cube))
+          << CubeEncodingName(encoded.encoding()) << " density=" << density;
+    }
+  }
+}
+
+TEST(CubeCodecTest, SparseDecodeRejectsWhatAccumulateRejects) {
+  const CubeSchema schema = TinySchema();
+  const uint64_t n = schema.num_cells();
+  std::vector<std::vector<unsigned char>> corrupt;
+  // Every proper prefix of a valid body: truncated varints and entries.
+  EncodedCube valid = EncodedCube::Encode(RandomCube(schema, 0.05, 5));
+  ASSERT_EQ(valid.encoding(), CubeEncoding::kSparseCoo);
+  for (size_t cut = 0; cut < valid.body_bytes(); ++cut) {
+    corrupt.emplace_back(valid.body(), valid.body() + cut);
+  }
+  // Trailing bytes after the last entry.
+  corrupt.emplace_back(valid.body(), valid.body() + valid.body_bytes());
+  corrupt.back().push_back(0);
+  auto body = [&](std::initializer_list<uint64_t> varints) {
+    std::vector<unsigned char> out;
+    for (uint64_t v : varints) PutVarint(&out, v);
+    corrupt.push_back(out);
+  };
+  body({n + 1});           // more entries than cells
+  body({1, n, 5});         // first coordinate out of range
+  body({2, n - 1, 1, 0, 1});  // a gap walking past the last cell
+  // A coordinate that does not increase: the gap would have to be
+  // negative, i.e. wrap modulo 2^64.
+  body({2, 5, 1, ~uint64_t{0}, 1});
+  corrupt.emplace_back(11, 0x80);  // overlong varint
+
+  CubeSlice all;
+  GroupBySpec spec;
+  spec.country = true;
+  const SliceLuts luts(schema, all, spec);
+  std::vector<uint64_t> acc(GroupAccumulatorSize(schema, spec), 0);
+  for (size_t i = 0; i < corrupt.size(); ++i) {
+    const std::vector<unsigned char>& b = corrupt[i];
+    EXPECT_FALSE(AccumulateEncodedSlice(luts, CubeEncoding::kSparseCoo,
+                                        b.data(), b.size(), acc.data())
+                     .ok())
+        << i;
+    EXPECT_FALSE(
+        DecodeSparseCube(schema, CubeEncoding::kSparseCoo, b.data(), b.size())
+            .ok())
+        << i;
+  }
 }
 
 }  // namespace

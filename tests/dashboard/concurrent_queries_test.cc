@@ -514,8 +514,11 @@ TEST_F(ConcurrentQueriesTest, ReadersSeeNoStallsDuringSlowIngest) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const uint64_t epoch_before = rased_->index()->epoch();
 
-  FakeClock fake_clock;
-  SetClockForTesting(&fake_clock);
+  // The suite's profiler reaper reads NowMicros() on its own thread and
+  // may load the installed clock just before the test uninstalls it, so
+  // the clock must outlive the test: it is never destroyed.
+  static FakeClock* const fake_clock = new FakeClock();
+  SetClockForTesting(fake_clock);
 
   std::atomic<int> warmup_queries{0};
   std::atomic<bool> done{false};
@@ -555,13 +558,13 @@ TEST_F(ConcurrentQueriesTest, ReadersSeeNoStallsDuringSlowIngest) {
   CubeSchema schema = rased_->options().schema;
   Date next_day = rased_->index()->coverage().last.next();
   for (int day = 0; day < kNewDays; ++day) {
-    fake_clock.Advance(kSlowIngestMicros / 2);
+    fake_clock->Advance(kSlowIngestMicros / 2);
     DataCube cube(schema);
     cube.Add(0, 0, 0, 0, 1);
     Status s = rased_->IngestDayCube(next_day, cube);
     if (!s.ok()) ++failures;
     next_day = next_day.next();
-    fake_clock.Advance(kSlowIngestMicros / 2);
+    fake_clock->Advance(kSlowIngestMicros / 2);
     std::this_thread::sleep_for(std::chrono::microseconds(300));
   }
   done.store(true);

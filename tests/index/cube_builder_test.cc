@@ -99,6 +99,36 @@ TEST_F(CubeBuilderTest, BuildDailyCubesGroupsByDate) {
   EXPECT_EQ(cubes.at(day2.date).Total(), 4u);
 }
 
+TEST_F(CubeBuilderTest, SparseBuildsMatchDenseBuilds) {
+  CubeBuilder builder(schema_, &world_);
+  UpdateRecord unknown = RecordIn("Chile");
+  unknown.country = kZoneUnknown;
+  UpdateRecord later = RecordIn("United States", UpdateType::kDelete);
+  later.date = later.date.AddDays(3);
+  std::vector<UpdateRecord> records = {
+      RecordIn("Kenya"), RecordIn("Kenya"), RecordIn("United States"),
+      unknown, later};
+
+  std::vector<CubeCell> pairs;
+  DataCube dense(schema_);
+  for (const UpdateRecord& r : records) {
+    builder.AddRecord(r, &pairs);
+    builder.AddRecord(r, &dense);
+  }
+  EXPECT_EQ(pairs.size(), dense.Total());  // one pair per increment
+  EXPECT_EQ(SparseCube::FromPairs(schema_, pairs).ToDense(), dense);
+  EXPECT_EQ(builder.BuildSparseCube(records).ToDense(), dense);
+  EXPECT_EQ(builder.BuildCube(records), dense);
+
+  auto sparse_days = builder.BuildSparseDailyCubes(records);
+  auto dense_days = builder.BuildDailyCubes(records);
+  ASSERT_EQ(sparse_days.size(), 2u);
+  ASSERT_EQ(dense_days.size(), 2u);
+  for (const auto& [day, cube] : sparse_days) {
+    EXPECT_EQ(cube.ToDense(), dense_days.at(day)) << day.ToString();
+  }
+}
+
 using CubeBuilderDeathTest = CubeBuilderTest;
 
 TEST_F(CubeBuilderDeathTest, RejectsMismatchedWorld) {

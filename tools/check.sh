@@ -11,22 +11,10 @@
 #   6. benchmark build: configure and build dashbench/ (which compiles
 #      ../src itself) and run its helper tests, so a src/ API change that
 #      breaks the benchmark fails here rather than at a benchmark run
-#   7. bench_concurrent_queries --quick (scaling/determinism smoke gate)
-#   8. bench_query_hotpath --quick (batched-I/O + kernel smoke gate;
-#      emits the BENCH_query_hotpath.json trajectory at the repo root)
-#   9. bench_ingest_vs_query --quick (MVCC publication smoke gate: reader
-#      makespan within 10% of the no-ingest baseline while days publish,
-#      ingest within 25% of the exclusive baseline; emits the
-#      BENCH_mvcc_ingest.json trajectory at the repo root; never skips)
-#  10. bench_cube_compression --quick (adaptive-encoding smoke gate:
-#      bit-identical rows dense-vs-adaptive / batched-vs-serial /
-#      scalar-vs-AVX2, >= 3x bytes_read and page_reads reduction, warm
-#      makespan within 10% of dense; emits the BENCH_cube_compression.json
-#      trajectory at the repo root; never skips)
-#  11. bench_profiler --quick (always-on profiler smoke gate: <= 2%
-#      process-CPU overhead at 99 Hz, < 1% sample drop rate, bit-identical
-#      query rows profiled vs not; emits the BENCH_profiler.json
-#      trajectory at the repo root; never skips)
+#   7-11. the quick benches, in one table-driven loop: concurrent
+#      queries, query hot path, ingest vs query, cube compression and
+#      profiler smoke gates (each bench's gate and trajectory file are
+#      listed at the loop)
 #  12. metrics smoke: boots a tiny synthetic instance, asserts the
 #      Prometheus exposition (rased metrics + live GET /metrics) covers
 #      every serving-path family and /api/trace returns spans, checks
@@ -155,110 +143,53 @@ else
   fail "dashbench build or helper tests"
 fi
 
-# ------------------------------------------------------ concurrency smoke --
-# Quick mode of the worker-pool scaling bench: builds a small index in the
-# build tree, then asserts per-query accounting determinism and the >=4x
-# 8-thread speedup over the old global-lock baseline.
-note "bench_concurrent_queries --quick"
-if [ -x "${PREFIX}-plain/bench/bench_concurrent_queries" ]; then
-  if "${PREFIX}-plain/bench/bench_concurrent_queries" --quick \
-      "bench_dir=${PREFIX}-plain/bench/concurrent_bench_data" >/dev/null; then
-    pass "bench_concurrent_queries --quick"
-  else
-    fail "bench_concurrent_queries --quick"
+# ---------------------------------------------------------- quick benches --
+# The quick modes of the gating benches, one table row each. Every bench
+# asserts its own gate and exits non-zero when it fails:
+#   bench_concurrent_queries  per-query accounting determinism, >= 4x
+#                             8-thread speedup over the global-lock baseline
+#   bench_query_hotpath       batched rows and transfers equal the serial
+#                             reference, read_ops < page_reads, cold
+#                             device time >= 2x better
+#   bench_ingest_vs_query     MVCC publication: reader makespan within 10%
+#                             of the no-ingest baseline while 35 days
+#                             publish, ingest within 25% of exclusive,
+#                             >= 2 observed epochs
+#   bench_cube_compression    bit-identical rows dense/adaptive, batched/
+#                             serial and scalar/AVX2, >= 3x fewer
+#                             bytes_read and page_reads, warm makespan
+#                             within 10% of dense
+#   bench_profiler            <= 2% process-CPU overhead at 99 Hz, < 1%
+#                             sample drop rate, bit-identical rows on/off
+# Columns: binary, index directory under the plain build's bench/, the
+# "bench" tag of the JSON line kept as the BENCH_<tag>.json trajectory at
+# the repo root ("-" keeps none), and what a missing binary is. The last
+# three are load-bearing contracts (publication, storage encodings,
+# always-on profiling), so a missing binary fails rather than skips.
+QUICK_BENCHES=(
+  "bench_concurrent_queries concurrent_bench_data  -                skip"
+  "bench_query_hotpath      hotpath_bench_data     query_hotpath    skip"
+  "bench_ingest_vs_query    ingest_bench_data      mvcc_ingest      fail"
+  "bench_cube_compression   compression_bench_data cube_compression fail"
+  "bench_profiler           profiler_bench_data    profiler         fail"
+)
+for row in "${QUICK_BENCHES[@]}"; do
+  read -r bench data tag missing <<< "${row}"
+  note "${bench} --quick"
+  bin="${PREFIX}-plain/bench/${bench}"
+  if [ ! -x "${bin}" ]; then
+    "${missing}" "${bench} not built (plain build failed?)"
+    continue
   fi
-else
-  skip "bench_concurrent_queries not built (plain build failed?)"
-fi
-
-# ---------------------------------------------------- query hotpath smoke --
-# Quick mode of the query hot-path bench: asserts the batched executor's
-# rows and transfer counts match the serial per-cube reference, that
-# adjacent page reads coalesce (read_ops < page_reads), and that the cold
-# device-model time improves >= 2x. Its "query_hotpath" JSON line becomes
-# the BENCH_query_hotpath.json trajectory tracked at the repo root.
-note "bench_query_hotpath --quick"
-if [ -x "${PREFIX}-plain/bench/bench_query_hotpath" ]; then
-  HOTPATH_OUT="$("${PREFIX}-plain/bench/bench_query_hotpath" --quick \
-      "bench_dir=${PREFIX}-plain/bench/hotpath_bench_data")"
-  if [ $? -eq 0 ]; then
-    printf '%s\n' "${HOTPATH_OUT}" \
-      | grep '"bench":"query_hotpath"' > BENCH_query_hotpath.json
-    pass "bench_query_hotpath --quick (trajectory in BENCH_query_hotpath.json)"
+  if ! out="$("${bin}" --quick "bench_dir=${PREFIX}-plain/bench/${data}")"; then
+    fail "${bench} --quick"
+  elif [ "${tag}" = "-" ]; then
+    pass "${bench} --quick"
   else
-    fail "bench_query_hotpath --quick"
+    printf '%s\n' "${out}" | grep "\"bench\":\"${tag}\"" > "BENCH_${tag}.json"
+    pass "${bench} --quick (trajectory in BENCH_${tag}.json)"
   fi
-else
-  skip "bench_query_hotpath not built (plain build failed?)"
-fi
-
-# ------------------------------------------------- ingest-vs-query smoke --
-# Quick mode of the MVCC ingest-vs-query bench: readers re-run a fixed
-# workload while ingest publishes 35 days, and the bench itself asserts
-# bit-for-bit rows/accounting, < 10% reader makespan degradation, < 25%
-# ingest overhead vs the exclusive baseline, and >= 2 observed epochs.
-# Like rased-lint this gate never skips: the non-blocking publication
-# contract is load-bearing for the dashboard, so a missing binary is a
-# failure, not a SKIP.
-note "bench_ingest_vs_query --quick"
-if [ -x "${PREFIX}-plain/bench/bench_ingest_vs_query" ]; then
-  MVCC_OUT="$("${PREFIX}-plain/bench/bench_ingest_vs_query" --quick \
-      "bench_dir=${PREFIX}-plain/bench/ingest_bench_data")"
-  if [ $? -eq 0 ]; then
-    printf '%s\n' "${MVCC_OUT}" \
-      | grep '"bench":"mvcc_ingest"' > BENCH_mvcc_ingest.json
-    pass "bench_ingest_vs_query --quick (trajectory in BENCH_mvcc_ingest.json)"
-  else
-    fail "bench_ingest_vs_query --quick"
-  fi
-else
-  fail "bench_ingest_vs_query not built (plain build failed?)"
-fi
-
-# ------------------------------------------------ cube compression smoke --
-# Quick mode of the adaptive-compression bench: twin indexes (forced-dense
-# vs adaptive) over identical data, identical page geometry. The bench
-# asserts bit-identical rows across dense/adaptive, batched/serial and
-# scalar/AVX2 paths, >= 3x reduction in both bytes_read and page_reads,
-# and a warm-cache makespan within 10% of dense. The storage encodings
-# are load-bearing for every byte budget in the system, so this gate
-# never skips: a missing binary is a failure, not a SKIP.
-note "bench_cube_compression --quick"
-if [ -x "${PREFIX}-plain/bench/bench_cube_compression" ]; then
-  COMPRESSION_OUT="$("${PREFIX}-plain/bench/bench_cube_compression" --quick \
-      "bench_dir=${PREFIX}-plain/bench/compression_bench_data")"
-  if [ $? -eq 0 ]; then
-    printf '%s\n' "${COMPRESSION_OUT}" \
-      | grep '"bench":"cube_compression"' > BENCH_cube_compression.json
-    pass "bench_cube_compression --quick (trajectory in BENCH_cube_compression.json)"
-  else
-    fail "bench_cube_compression --quick"
-  fi
-else
-  fail "bench_cube_compression not built (plain build failed?)"
-fi
-
-# -------------------------------------------------------- profiler smoke --
-# Quick mode of the continuous-profiler bench: interleaved profiled and
-# unprofiled passes over a warm-cache workload. The bench itself asserts
-# <= 2% process-CPU overhead at 99 Hz, < 1% sample drop rate, a non-empty
-# retained folded report, and bit-identical result rows on vs off. The
-# always-on claim is load-bearing for running the profiler in production,
-# so this gate never skips: a missing binary is a failure, not a SKIP.
-note "bench_profiler --quick"
-if [ -x "${PREFIX}-plain/bench/bench_profiler" ]; then
-  PROFILER_OUT="$("${PREFIX}-plain/bench/bench_profiler" --quick \
-      "bench_dir=${PREFIX}-plain/bench/profiler_bench_data")"
-  if [ $? -eq 0 ]; then
-    printf '%s\n' "${PROFILER_OUT}" \
-      | grep '"bench":"profiler"' > BENCH_profiler.json
-    pass "bench_profiler --quick (trajectory in BENCH_profiler.json)"
-  else
-    fail "bench_profiler --quick"
-  fi
-else
-  fail "bench_profiler not built (plain build failed?)"
-fi
+done
 
 # ----------------------------------------------------------- metrics smoke --
 # End-to-end observability gate: build a tiny synthetic instance with the
