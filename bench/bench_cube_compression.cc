@@ -5,9 +5,9 @@
 //
 //   dense    CubeEncodingPolicy::kForceDense — every cube stored as its
 //            raw 8-bytes-per-cell image (the pre-compression layout).
-//   adaptive CubeEncodingPolicy::kAdaptive — per-cube encoding chosen
-//            from measured density (sparse COO / delta-varint / dense),
-//            exact blob length in the catalog (DESIGN.md section 11).
+//   adaptive CubeEncodingPolicy::kAdaptive — per cube, sparse COO when
+//            its body is smaller than the dense image, else dense; exact
+//            blob length in the catalog (DESIGN.md section 11).
 //
 // The workload is the dashboard hot path: the paper's four panel shapes
 // (90-day time series, country choropleth, road x update histogram,
@@ -386,9 +386,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: daily country cubes are ~1-2%% dense, so sparse\n"
       "COO collapses their 13-page dense runs to a single page; weekly and\n"
-      "monthly rollups land on delta-varint. Cache hits aggregate their\n"
-      "resident blobs: sparse COO as stored, delta rollups decoded to\n"
-      "dense at admission, so the warm ratio stays at or below ~1.0 —\n"
-      "sparse hits skip the zero cells the dense side sums.\n");
+      "monthly rollups store COO too wherever its body undercuts the dense\n"
+      "image. Cache hits aggregate their resident blobs as stored, so the\n"
+      "warm ratio stays at or below ~1.0 — sparse hits skip the zero cells\n"
+      "the dense side sums.\n");
   return 0;
 }

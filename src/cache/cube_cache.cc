@@ -79,13 +79,8 @@ void CubeCache::Preload(const TemporalIndex* index,
   for (auto kit = latest.rbegin(); kit != latest.rend(); ++kit) {
     std::optional<CubeLoc> loc = snapshot.LocOf(*kit);
     if (!loc.has_value()) continue;  // raced away; snapshot makes this moot
-    // The resident form (EncodedCubeBatch::Extract) of delta-varint and
-    // seed-format legacy cubes is dense; the others keep their body.
-    const bool dense =
-        loc->legacy || loc->encoding == CubeEncoding::kDeltaVarint;
-    const uint64_t bytes =
-        EntryBytes(dense ? index->options().schema.cube_bytes()
-                         : loc->blob_bytes - CubeBlobHeader::kBytes);
+    // The resident form (EncodedCubeBatch::Extract) is the blob's body.
+    const uint64_t bytes = EntryBytes(loc->blob_bytes - CubeBlobHeader::kBytes);
     if (selected_bytes + bytes > max_bytes) break;
     selected_bytes += bytes;
     keys.push_back(*kit);

@@ -34,9 +34,8 @@ struct CacheOptions {
   /// Cache capacity in bytes of resident memory — the paper's 2 GB
   /// deployment figure (Section VII-A). Every entry is charged the heap it
   /// holds (CubeCache::EntryBytes): its resident blob's body — sparse COO
-  /// or dense, delta-varint rollups decoded to dense once at admission —
-  /// plus the fixed per-entry bookkeeping. Sparse encoding therefore
-  /// directly multiplies how many cubes the same budget holds.
+  /// or dense — plus the fixed per-entry bookkeeping. Sparse encoding
+  /// therefore directly multiplies how many cubes the same budget holds.
   uint64_t byte_budget = uint64_t{2} << 30;
 
   /// Per-level byte shares for kRasedRecency; must sum to ~1. Defaults
@@ -72,11 +71,10 @@ struct CacheStats {
 /// cost only for misses.
 ///
 /// Resident form: entries hold the cube's encoded blob, never a decoded
-/// DataCube. Sparse COO and dense blobs stay exactly as read; delta-varint
-/// blobs are decoded to dense once at admission (EncodedCubeBatch::
-/// Extract). Hits and misses therefore aggregate through the same
-/// AccumulateEncodedSlice kernels, and the byte budget charges the heap an
-/// entry really holds.
+/// DataCube: sparse COO and dense bodies stay exactly as read
+/// (EncodedCubeBatch::Extract). Hits and misses therefore aggregate
+/// through the same AccumulateEncodedSlice kernels, and the byte budget
+/// charges the heap an entry really holds.
 ///
 /// Threading contract: CubeCache is internally synchronized. Lookups,
 /// inserts, invalidation, warming, and stats are safe from any number of

@@ -1,5 +1,6 @@
 #include "cube/cube_codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/varint.h"
@@ -112,42 +113,25 @@ namespace {
 
 // --- Per-encoding body builders -------------------------------------------
 
-/// The COO body of a cube's sorted non-zero cells.
-void BuildSparseBody(const std::vector<CubeCell>& cells,
+/// Builds the COO body of a cube's sorted non-zero cells while it stays
+/// smaller than `limit` bytes; false (body abandoned) once it reaches it.
+bool BuildSparseBody(const std::vector<CubeCell>& cells, size_t limit,
                      std::vector<unsigned char>* body) {
   PutVarint(body, cells.size());
   uint64_t next_min = 0;  // smallest index the next entry may use
   for (const CubeCell& cell : cells) {
+    if (body->size() >= limit) return false;
     PutVarint(body, cell.index - next_min);
     PutVarint(body, cell.count);
     next_min = cell.index + 1;
   }
-}
-
-void BuildDeltaBody(const std::vector<uint64_t>& cells,
-                    std::vector<unsigned char>* body) {
-  uint64_t prev = 0;
-  for (uint64_t cell : cells) {
-    PutVarint(body, ZigzagEncode(cell - prev));
-    prev = cell;
-  }
-}
-
-/// The adaptive policy's first choice: sparse COO at or below
-/// kSparseDensityThreshold. Shared by both Encode overloads, so a cube
-/// takes the same branch whichever form it arrives in.
-bool SparseCandidate(size_t nnz, size_t num_cells) {
-  const double density =
-      num_cells == 0 ? 0.0
-                     : static_cast<double>(nnz) /
-                           static_cast<double>(num_cells);
-  return density <= kSparseDensityThreshold;
+  return body->size() < limit;
 }
 
 // --- Per-encoding accumulate / decode cores -------------------------------
 
-/// GetVarint for the per-cell loops: one-byte values (most gaps, counts
-/// and deltas) are read inline, and the result is a bool, so no Status is
+/// GetVarint for the per-cell loops: one-byte values (most gaps and
+/// counts) are read inline, and the result is a bool, so no Status is
 /// built per cell. Together that halves a sparse body's decode time.
 inline bool ReadCellVarint(const unsigned char** p, const unsigned char* end,
                            uint64_t* v) {
@@ -218,28 +202,6 @@ Status AccumulateSparse(const SliceLuts& luts, const unsigned char* body,
       });
 }
 
-Status AccumulateDelta(const SliceLuts& luts, const unsigned char* body,
-                       size_t body_bytes, uint64_t* acc) {
-  const unsigned char* p = body;
-  const unsigned char* end = body + body_bytes;
-  uint64_t cell = 0;  // running value; deltas accumulate mod 2^64
-  for (uint64_t outer = 0; outer < luts.outer.size(); ++outer) {
-    for (uint64_t inner = 0; inner < luts.inner.size(); ++inner) {
-      uint64_t z = 0;
-      if (!ReadCellVarint(&p, end, &z)) {
-        return Status::Corruption("bad varint in delta cube body");
-      }
-      cell += ZigzagDecode(z);
-      const int64_t slot_a = luts.outer[outer], slot_b = luts.inner[inner];
-      if (cell != 0 && (slot_a | slot_b) >= 0) acc[slot_a + slot_b] += cell;
-    }
-  }
-  if (p != end) {
-    return Status::Corruption("trailing bytes after delta cube body");
-  }
-  return Status::OK();
-}
-
 Status AccumulateDense(const CubeSchema& schema, const unsigned char* body,
                        size_t body_bytes, const CubeSlice& slice,
                        const GroupBySpec& spec, uint64_t* acc) {
@@ -271,8 +233,6 @@ const char* CubeEncodingName(CubeEncoding encoding) {
       return "dense";
     case CubeEncoding::kSparseCoo:
       return "sparse";
-    case CubeEncoding::kDeltaVarint:
-      return "delta";
   }
   return "unknown";
 }
@@ -298,7 +258,7 @@ Result<CubeBlobHeader> CubeBlobHeader::Parse(const unsigned char* data,
     return Status::Corruption("unsupported cube blob version");
   }
   const unsigned char enc = data[6];
-  if (enc > static_cast<unsigned char>(CubeEncoding::kDeltaVarint)) {
+  if (enc > static_cast<unsigned char>(CubeEncoding::kSparseCoo)) {
     return Status::Corruption("unknown cube encoding tag");
   }
   if (data[7] != 0) {
@@ -317,10 +277,7 @@ Status AccumulateEncodedSlice(const SliceLuts& luts, CubeEncoding encoding,
     return AccumulateDense(*luts.schema, body, body_bytes, *luts.slice,
                            luts.spec, acc);
   }
-  if (encoding == CubeEncoding::kSparseCoo) {
-    return AccumulateSparse(luts, body, body_bytes, acc);
-  }
-  return AccumulateDelta(luts, body, body_bytes, acc);
+  return AccumulateSparse(luts, body, body_bytes, acc);
 }
 
 Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
@@ -351,65 +308,54 @@ Result<SparseCube> DecodeSparseCube(const CubeSchema& schema,
                                     CubeEncoding encoding,
                                     const unsigned char* body,
                                     size_t body_bytes) {
-  if (encoding != CubeEncoding::kSparseCoo) {
-    // Dense and delta bodies only occur above the sparse threshold, where
-    // the dense image is the natural intermediate.
-    RASED_ASSIGN_OR_RETURN(
-        DataCube dense, DecodeEncodedCube(schema, encoding, body, body_bytes));
-    return SparseCube::FromDense(dense);
-  }
   std::vector<CubeCell> cells;
-  cells.reserve(body_bytes / 2);  // every entry takes at least two bytes
-  RASED_RETURN_IF_ERROR(ScanSparseBody(
-      schema.num_cells(), body, body_bytes,
-      [&](uint64_t index, uint64_t, uint64_t value) {
-        cells.push_back(CubeCell{index, value});
-      }));
-  // Already strictly increasing; FromPairs only drops zero values, which
-  // the encoder never writes.
-  return SparseCube::FromPairs(schema, std::move(cells));
-}
-
-EncodedCube EncodedCube::Encode(const DataCube& cube,
-                                CubeEncodingPolicy policy) {
-  const std::vector<uint64_t>& cells = cube.cells();
-  if (policy == CubeEncodingPolicy::kAdaptive) {
-    size_t nnz = 0;
-    for (uint64_t cell : cells) nnz += cell != 0 ? 1 : 0;
-    if (SparseCandidate(nnz, cells.size())) {
-      return Encode(SparseCube::FromDense(cube), policy);
+  if (encoding == CubeEncoding::kDenseRaw) {
+    if (body_bytes != schema.cube_bytes()) {
+      return Status::Corruption("dense cube body has wrong length");
     }
-    std::vector<unsigned char> body;
-    body.reserve(cells.size() * 2);
-    BuildDeltaBody(cells, &body);
-    // Never-bigger-than-dense: an incompressible cube stores dense.
-    if (body.size() < cube.schema().cube_bytes()) {
-      return FromBody(cube.schema(), CubeEncoding::kDeltaVarint, body);
+    for (uint64_t i = 0; i < schema.num_cells(); ++i) {
+      uint64_t count;
+      std::memcpy(&count, body + i * sizeof(count), sizeof(count));
+      if (count != 0) cells.push_back(CubeCell{i, count});
     }
+  } else {
+    cells.reserve(body_bytes / 2);  // every entry takes at least two bytes
+    RASED_RETURN_IF_ERROR(ScanSparseBody(
+        schema.num_cells(), body, body_bytes,
+        [&](uint64_t index, uint64_t, uint64_t value) {
+          cells.push_back(CubeCell{index, value});
+        }));
   }
-  EncodedCube out;
-  out.schema_ = cube.schema();
-  out.encoding_ = CubeEncoding::kDenseRaw;
-  out.body_bytes_ = out.schema_.cube_bytes();
-  out.words_.assign((out.body_bytes_ + 7) / 8, 0);
-  cube.SerializeTo(reinterpret_cast<unsigned char*>(out.words_.data()));
-  return out;
+  // Already strictly increasing, with no zero counts.
+  return SparseCube::FromPairs(schema, std::move(cells));
 }
 
 EncodedCube EncodedCube::Encode(const SparseCube& cube,
                                 CubeEncodingPolicy policy) {
   const CubeSchema& schema = cube.schema();
-  if (policy != CubeEncodingPolicy::kAdaptive ||
-      !SparseCandidate(cube.nnz(), schema.num_cells())) {
-    return Encode(cube.ToDense(), policy);
+  if (policy == CubeEncodingPolicy::kAdaptive) {
+    std::vector<unsigned char> body;
+    body.reserve(std::min(2 * kMaxVarintBytes * cube.nnz() + kMaxVarintBytes,
+                          schema.cube_bytes()));
+    if (BuildSparseBody(cube.cells(), schema.cube_bytes(), &body)) {
+      return FromBody(schema, CubeEncoding::kSparseCoo, body);
+    }
   }
-  std::vector<unsigned char> body;
-  body.reserve(2 * kMaxVarintBytes * cube.nnz() + kMaxVarintBytes);
-  BuildSparseBody(cube.cells(), &body);
-  if (body.size() >= schema.cube_bytes()) {
-    return Encode(cube.ToDense(), CubeEncodingPolicy::kForceDense);
+  // The dense image, written straight from the cell list.
+  EncodedCube out;
+  out.schema_ = schema;
+  out.encoding_ = CubeEncoding::kDenseRaw;
+  out.body_bytes_ = schema.cube_bytes();
+  out.words_.assign(schema.num_cells(), 0);
+  for (const CubeCell& cell : cube.cells()) {
+    out.words_[cell.index] = cell.count;
   }
-  return FromBody(schema, CubeEncoding::kSparseCoo, body);
+  return out;
+}
+
+EncodedCube EncodedCube::Encode(const DataCube& cube,
+                                CubeEncodingPolicy policy) {
+  return Encode(SparseCube::FromDense(cube), policy);
 }
 
 EncodedCube EncodedCube::FromBody(const CubeSchema& schema,
@@ -464,19 +410,6 @@ Status EncodedCubeBatch::BindEncoded(size_t i, size_t blob_offset,
   return Status::OK();
 }
 
-Status EncodedCubeBatch::BindLegacyDense(size_t i, size_t offset) {
-  if (i >= slots_.size()) {
-    return Status::InvalidArgument("cube batch slot out of range");
-  }
-  const size_t dense_bytes = schema_.cube_bytes();
-  if (offset > arena_bytes_ || dense_bytes > arena_bytes_ - offset) {
-    return Status::Corruption("legacy cube exceeds its page run");
-  }
-  slots_[i] =
-      Slot{offset, dense_bytes, CubeEncoding::kDenseRaw, /*bound=*/true};
-  return Status::OK();
-}
-
 Status EncodedCubeBatch::AccumulateSlice(size_t i, const CubeSlice& slice,
                                          const GroupBySpec& spec,
                                          uint64_t* acc) const {
@@ -504,11 +437,6 @@ Result<std::shared_ptr<const EncodedCube>> EncodedCubeBatch::Extract(
     return Status::InvalidArgument("cube batch slot not bound");
   }
   const Slot& slot = slots_[i];
-  if (slot.encoding == CubeEncoding::kDeltaVarint) {
-    RASED_ASSIGN_OR_RETURN(DataCube dense, Decode(i));
-    return std::make_shared<const EncodedCube>(
-        EncodedCube::Encode(dense, CubeEncodingPolicy::kForceDense));
-  }
   auto cube = std::make_shared<EncodedCube>();
   cube->schema_ = schema_;
   cube->encoding_ = slot.encoding;

@@ -16,15 +16,14 @@ namespace rased {
 
 /// Adaptive per-cube storage encodings (DESIGN.md section 11).
 ///
-/// A cube's on-disk representation is chosen at write time from its
-/// measured density (fraction of non-zero cells). Most daily country
-/// cubes are extremely sparse — a handful of update events scattered over
-/// thousands of (element, country, road, update) cells — so storing the
-/// dense 8-bytes-per-cell image wastes nearly every page byte. The chosen
-/// encoding and the exact serialized length are recorded per cube in the
-/// epoch-versioned catalog (index/temporal_index.h), so readers decode
-/// without probing and byte budgets (cache/cube_cache.h) account real
-/// sizes.
+/// A cube's on-disk representation is chosen at write time by size. Most
+/// daily country cubes are extremely sparse — a handful of update events
+/// scattered over thousands of (element, country, road, update) cells — so
+/// storing the dense 8-bytes-per-cell image wastes nearly every page byte.
+/// The chosen encoding and the exact serialized length are recorded per
+/// cube in the epoch-versioned catalog (index/temporal_index.h), so readers
+/// decode without probing and byte budgets (cache/cube_cache.h) account
+/// real sizes.
 ///
 /// Wire formats (all integers little-endian):
 ///
@@ -35,38 +34,28 @@ namespace rased {
 ///                 strictly increasing order; the first delta is the index
 ///                 itself and each subsequent delta is (index - previous
 ///                 index - 1), so every stored delta is the gap width.
-///   kDeltaVarint  num_cells() zigzag varints, each the difference between
-///                 a cell and its predecessor in cell order (cell -1 = 0),
-///                 computed modulo 2^64.
 ///
-/// Decoders validate everything (truncated varints, out-of-range or
-/// non-increasing coordinates, trailing bytes) and fail with a clean
-/// Corruption status — never undefined behavior.
+/// Any other tag is an unknown encoding. Decoders validate everything
+/// (truncated varints, out-of-range or non-increasing coordinates, trailing
+/// bytes) and fail with a clean Corruption status — never undefined
+/// behavior.
 enum class CubeEncoding : uint8_t {
   kDenseRaw = 0,
   kSparseCoo = 1,
-  kDeltaVarint = 2,
 };
 
-/// Short name for logs and bench output ("dense", "sparse", "delta").
+/// Short name for logs and bench output ("dense", "sparse").
 const char* CubeEncodingName(CubeEncoding encoding);
 
 /// Write-time encoding selection policy (TemporalIndexOptions.encoding).
 enum class CubeEncodingPolicy {
-  /// Pick per cube: sparse COO at or below kSparseDensityThreshold,
-  /// otherwise delta-varint, falling back to dense whenever the candidate
-  /// body would not beat the dense image (never-bigger-than-dense).
+  /// Sparse COO when its body is smaller than the dense image, dense
+  /// otherwise (never bigger than dense).
   kAdaptive = 0,
   /// Always dense. Used as the like-for-like baseline by
   /// bench/bench_cube_compression (same page geometry, no compression).
   kForceDense = 1,
 };
-
-/// Density (non-zero cell fraction) at or below which the sparse COO
-/// candidate is built; denser cubes go straight to delta-varint. At ~0.10
-/// the worst-case COO entry (2 varints) still undercuts the 8-byte dense
-/// cell on real update distributions.
-inline constexpr double kSparseDensityThreshold = 0.10;
 
 /// 16-byte header preceding every encoded cube body on disk:
 ///
@@ -75,10 +64,6 @@ inline constexpr double kSparseDensityThreshold = 0.10;
 ///   offset 6  uint8   encoding (CubeEncoding)
 ///   offset 7  uint8   reserved, must be 0
 ///   offset 8  uint64  body_bytes (exact encoded body length)
-///
-/// Seed-format pages predate this header and carry the raw dense image;
-/// the catalog marks those entries legacy and readers skip header parsing
-/// for them.
 struct CubeBlobHeader {
   static constexpr uint32_t kMagic = 0x42554352;  // "RCUB" little-endian
   static constexpr uint16_t kVersion = 1;
@@ -131,8 +116,8 @@ Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
 
 /// Decodes an encoded body to the sparse write form. A COO body is parsed
 /// cell by cell through the same validating core as AccumulateEncodedSlice
-/// (so it rejects exactly the same corrupt bodies); dense and delta bodies
-/// are decoded dense, then scanned.
+/// (so it rejects exactly the same corrupt bodies); a dense body is
+/// scanned straight into its non-zero cells.
 Result<SparseCube> DecodeSparseCube(const CubeSchema& schema,
                                     CubeEncoding encoding,
                                     const unsigned char* body,
@@ -145,19 +130,15 @@ class EncodedCube {
  public:
   EncodedCube() = default;
 
-  /// Encodes `cube` under `policy` (see CubeEncodingPolicy): one density
-  /// scan plus one candidate build.
-  static EncodedCube Encode(
-      const DataCube& cube,
-      CubeEncodingPolicy policy = CubeEncodingPolicy::kAdaptive);
-
-  /// The write path's encoder. Makes the same choice as the dense overload
-  /// and yields a byte-identical blob: at or below kSparseDensityThreshold
-  /// the COO body is written straight from the cell list; above it (or
-  /// under kForceDense) the cube is materialized dense once and encoded by
-  /// the dense overload.
+  /// The one encoder: picks the encoding under `policy` (see
+  /// CubeEncodingPolicy) and writes the body straight from the cell list.
   static EncodedCube Encode(
       const SparseCube& cube,
+      CubeEncodingPolicy policy = CubeEncodingPolicy::kAdaptive);
+
+  /// Encode(SparseCube::FromDense(cube), policy): the same blob.
+  static EncodedCube Encode(
+      const DataCube& cube,
       CubeEncodingPolicy policy = CubeEncodingPolicy::kAdaptive);
 
   const CubeSchema& schema() const { return schema_; }
@@ -221,13 +202,10 @@ class EncodedCubeBatch {
 
   /// Binds slot `i` to the blob at `blob_offset`, parsing the RCUB header
   /// and cross-checking it against the catalog-recorded `blob_bytes` and
-  /// `expected_encoding`. Any mismatch is a Corruption error.
+  /// `expected_encoding`. Any mismatch is a Corruption error. The one
+  /// check every stored blob passes before it is read.
   Status BindEncoded(size_t i, size_t blob_offset, uint64_t blob_bytes,
                      CubeEncoding expected_encoding);
-
-  /// Binds slot `i` to a seed-format raw dense image (no blob header) at
-  /// `offset`.
-  Status BindLegacyDense(size_t i, size_t offset);
 
   CubeEncoding encoding(size_t i) const { return slots_[i].encoding; }
   const unsigned char* body(size_t i) const {
@@ -243,10 +221,8 @@ class EncodedCubeBatch {
   /// Decodes cube `i` to a dense DataCube.
   Result<DataCube> Decode(size_t i) const;
 
-  /// Copies cube `i` out of the arena in its resident (cache) form. Sparse
-  /// COO and dense bodies are kept byte for byte; a delta-varint body is
-  /// decoded once to dense, because streaming delta at rollup densities is
-  /// ~20x slower than the dense kernel.
+  /// Copies cube `i`'s body out of the arena, byte for byte, in its
+  /// resident (cache) form.
   Result<std::shared_ptr<const EncodedCube>> Extract(size_t i) const;
 
  private:

@@ -339,7 +339,8 @@ void HttpServer::HandleConnection(int fd) {
       "Connection: close\r\n\r\n",
       response.status, status_text, response.content_type.c_str(),
       extra_headers.c_str(), response.body.size());
-  out += response.body;
+  // HEAD gets GET's headers, Content-Length included, but never the body.
+  if (parsed.method != "HEAD") out += response.body;
   size_t sent = 0;
   while (sent < out.size()) {
     ssize_t n = ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);

@@ -258,37 +258,27 @@ Result<std::unique_ptr<TemporalIndex>> TemporalIndex::Open(
     } else if (f[0] == "last_day" && f.size() == 2) {
       RASED_ASSIGN_OR_RETURN(int64_t days, ParseInt(f[1]));
       version->last_day = Date::FromDays(static_cast<int32_t>(days));
-    } else if (f[0] == "cube" && (f.size() == 4 || f.size() == 7)) {
+    } else if (f[0] == "cube" && f.size() == 7) {
       RASED_ASSIGN_OR_RETURN(int64_t level, ParseInt(f[1]));
       RASED_ASSIGN_OR_RETURN(int64_t days, ParseInt(f[2]));
       RASED_ASSIGN_OR_RETURN(uint64_t page, ParseUint(f[3]));
+      RASED_ASSIGN_OR_RETURN(uint64_t npages, ParseUint(f[4]));
+      RASED_ASSIGN_OR_RETURN(int64_t enc, ParseInt(f[5]));
+      RASED_ASSIGN_OR_RETURN(uint64_t blob_bytes, ParseUint(f[6]));
       if (level < 0 || level >= kNumLevels) {
         return Status::Corruption("bad catalog level " + f[1]);
       }
+      if (npages == 0 || npages > UINT32_MAX) {
+        return Status::Corruption("bad catalog page count " + f[4]);
+      }
+      if (enc < 0 || enc > static_cast<int64_t>(CubeEncoding::kSparseCoo)) {
+        return Status::Corruption("bad catalog cube encoding " + f[5]);
+      }
       CubeLoc loc;
       loc.first_page = page;
-      if (f.size() == 4) {
-        // Seed-format entry: one dense page, no blob header.
-        loc.num_pages = 1;
-        loc.encoding = CubeEncoding::kDenseRaw;
-        loc.blob_bytes = options.schema.cube_bytes();
-        loc.legacy = true;
-      } else {
-        RASED_ASSIGN_OR_RETURN(uint64_t npages, ParseUint(f[4]));
-        RASED_ASSIGN_OR_RETURN(int64_t enc, ParseInt(f[5]));
-        RASED_ASSIGN_OR_RETURN(uint64_t blob_bytes, ParseUint(f[6]));
-        if (npages == 0 || npages > UINT32_MAX) {
-          return Status::Corruption("bad catalog page count " + f[4]);
-        }
-        if (enc < 0 ||
-            enc > static_cast<int64_t>(CubeEncoding::kDeltaVarint)) {
-          return Status::Corruption("bad catalog cube encoding " + f[5]);
-        }
-        loc.num_pages = static_cast<uint32_t>(npages);
-        loc.encoding = static_cast<CubeEncoding>(enc);
-        loc.blob_bytes = blob_bytes;
-        loc.legacy = false;
-      }
+      loc.num_pages = static_cast<uint32_t>(npages);
+      loc.encoding = static_cast<CubeEncoding>(enc);
+      loc.blob_bytes = blob_bytes;
       maps[level][Date::FromDays(static_cast<int32_t>(days))] = loc;
     } else {
       return Status::Corruption("bad catalog line: " + std::string(line));
@@ -311,10 +301,8 @@ Result<std::unique_ptr<TemporalIndex>> TemporalIndex::Open(
                       static_cast<unsigned long long>(loc.first_page),
                       loc.num_pages));
       }
-      if (!loc.legacy &&
-          (loc.blob_bytes < CubeBlobHeader::kBytes ||
-           loc.blob_bytes >
-               static_cast<uint64_t>(loc.num_pages) * payload)) {
+      if (loc.blob_bytes < CubeBlobHeader::kBytes ||
+          loc.blob_bytes > static_cast<uint64_t>(loc.num_pages) * payload) {
         return Status::Corruption(
             StrFormat("catalog blob length %llu exceeds its %u-page run",
                       static_cast<unsigned long long>(loc.blob_bytes),
@@ -381,17 +369,11 @@ Status TemporalIndex::SaveCatalog() {
   for (int level = 0; level < kNumLevels; ++level) {
     for (const auto& [day, loc] :
          LevelMapOf(*version, static_cast<Level>(level))) {
-      if (loc.legacy) {
-        // Seed-format entries round-trip in their original 4-field form.
-        out += StrFormat("cube %d %d %llu\n", level, day.days_since_epoch(),
-                         static_cast<unsigned long long>(loc.first_page));
-      } else {
-        out += StrFormat("cube %d %d %llu %u %d %llu\n", level,
-                         day.days_since_epoch(),
-                         static_cast<unsigned long long>(loc.first_page),
-                         loc.num_pages, static_cast<int>(loc.encoding),
-                         static_cast<unsigned long long>(loc.blob_bytes));
-      }
+      out += StrFormat("cube %d %d %llu %u %d %llu\n", level,
+                       day.days_since_epoch(),
+                       static_cast<unsigned long long>(loc.first_page),
+                       loc.num_pages, static_cast<int>(loc.encoding),
+                       static_cast<unsigned long long>(loc.blob_bytes));
     }
   }
   // Atomic replace: a crash mid-save must never leave a torn catalog.
@@ -399,8 +381,9 @@ Status TemporalIndex::SaveCatalog() {
 }
 
 Status TemporalIndex::Sync() {
-  RASED_RETURN_IF_ERROR(SaveCatalog());
-  return pager_->Sync();
+  // Pages first: a durable catalog must never name a page that is not.
+  RASED_RETURN_IF_ERROR(pager_->Sync());
+  return SaveCatalog();
 }
 
 // ---- staging ----
@@ -456,41 +439,6 @@ std::optional<CubeLoc> TemporalIndex::StagedLocOf(const Staging& staging,
   return CatalogSnapshot(staging.base).LocOf(key);
 }
 
-Result<TemporalIndex::BlobBody> TemporalIndex::ReadBlobAtLoc(
-    const CubeLoc& loc, IoStats* io, std::vector<unsigned char>* buf) const {
-  const size_t payload = pager_->payload_size();
-  std::vector<PageId> pages;
-  pages.reserve(loc.num_pages);
-  AppendRunPages(loc, &pages);
-  // The run is consecutive, so this is one coalesced pread charged as a
-  // single read_op of num_pages page_reads — identical accounting to the
-  // batched path.
-  buf->resize(loc.num_pages * payload);
-  RASED_RETURN_IF_ERROR(pager_->ReadPages(pages, buf->data(), io));
-  if (metrics_.cube_reads != nullptr) metrics_.cube_reads->Increment();
-  if (loc.legacy) {
-    if (buf->size() < options_.schema.cube_bytes()) {
-      return Status::Corruption("legacy cube page smaller than a dense cube");
-    }
-    return BlobBody{CubeEncoding::kDenseRaw, buf->data(),
-                    options_.schema.cube_bytes()};
-  }
-  if (loc.blob_bytes < CubeBlobHeader::kBytes ||
-      loc.blob_bytes > buf->size()) {
-    return Status::Corruption("catalog blob length exceeds its page run");
-  }
-  RASED_ASSIGN_OR_RETURN(CubeBlobHeader header,
-                         CubeBlobHeader::Parse(buf->data(), buf->size()));
-  if (header.body_bytes != loc.blob_bytes - CubeBlobHeader::kBytes) {
-    return Status::Corruption("cube blob length disagrees with catalog");
-  }
-  if (header.encoding != loc.encoding) {
-    return Status::Corruption("cube blob encoding disagrees with catalog");
-  }
-  return BlobBody{header.encoding, buf->data() + CubeBlobHeader::kBytes,
-                  static_cast<size_t>(header.body_bytes)};
-}
-
 Result<SparseCube> TemporalIndex::BuildFromChildren(
     const Staging& staging, const CubeKey& parent,
     const CubeKey* in_memory_key, const SparseCube* in_memory_cube) const {
@@ -498,7 +446,6 @@ Result<SparseCube> TemporalIndex::BuildFromChildren(
   std::vector<SparseCube> read;
   read.reserve(children.size());  // `parts` points into it
   std::vector<const SparseCube*> parts;
-  std::vector<unsigned char> buf;
   for (const CubeKey& child : children) {
     if (in_memory_key != nullptr && child == *in_memory_key) {
       parts.push_back(in_memory_cube);
@@ -506,10 +453,11 @@ Result<SparseCube> TemporalIndex::BuildFromChildren(
     }
     std::optional<CubeLoc> loc = StagedLocOf(staging, child);
     if (!loc.has_value()) continue;  // index may start mid-window
-    RASED_ASSIGN_OR_RETURN(BlobBody body, ReadBlobAtLoc(*loc, nullptr, &buf));
+    RASED_ASSIGN_OR_RETURN(EncodedCubeBatch blob,
+                           ReadLocs({&*loc, 1}, nullptr));
     RASED_ASSIGN_OR_RETURN(
-        SparseCube cube, DecodeSparseCube(options_.schema, body.encoding,
-                                          body.data, body.bytes));
+        SparseCube cube, DecodeSparseCube(options_.schema, blob.encoding(0),
+                                          blob.body(0), blob.body_bytes(0)));
     read.push_back(std::move(cube));
     parts.push_back(&read.back());
   }
@@ -582,10 +530,8 @@ Result<DataCube> TemporalIndex::ReadCube(const CatalogSnapshot& snapshot,
   if (!loc.has_value()) {
     return Status::NotFound("no cube for " + key.ToString());
   }
-  std::vector<unsigned char> buf;
-  RASED_ASSIGN_OR_RETURN(BlobBody body, ReadBlobAtLoc(*loc, io, &buf));
-  return DecodeEncodedCube(options_.schema, body.encoding, body.data,
-                           body.bytes);
+  RASED_ASSIGN_OR_RETURN(EncodedCubeBatch blob, ReadLocs({&*loc, 1}, io));
+  return blob.Decode(0);
 }
 
 Result<EncodedCubeBatch> TemporalIndex::ReadCubes(
@@ -594,42 +540,43 @@ Result<EncodedCubeBatch> TemporalIndex::ReadCubes(
   // Resolve every key up front against the pinned version so a missing
   // cube fails before any device time is charged.
   std::vector<CubeLoc> locs(keys.size());
-  size_t total_pages = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     std::optional<CubeLoc> loc = snapshot.LocOf(keys[i]);
     if (!loc.has_value()) {
       return Status::NotFound("no cube for " + keys[i].ToString());
     }
     locs[i] = *loc;
-    total_pages += locs[i].num_pages;
   }
+  return ReadLocs(locs, io);
+}
+
+Result<EncodedCubeBatch> TemporalIndex::ReadLocs(std::span<const CubeLoc> locs,
+                                                 IoStats* io) const {
+  size_t total_pages = 0;
+  for (const CubeLoc& loc : locs) total_pages += loc.num_pages;
 
   // Lay the cubes' page runs out back to back in the arena, cube-major:
   // each cube's pages are physically consecutive, so its whole blob lands
   // contiguous at a known offset. Offsets stay 8-byte aligned because the
   // payload is a multiple of 8.
   const size_t payload = pager_->payload_size();
-  EncodedCubeBatch batch(options_.schema, keys.size(),
+  EncodedCubeBatch batch(options_.schema, locs.size(),
                          total_pages * payload);
-  if (keys.empty()) return batch;
+  if (locs.empty()) return batch;
   std::vector<PageId> pages;
   pages.reserve(total_pages);
-  std::vector<size_t> offsets(keys.size(), 0);
+  std::vector<size_t> offsets(locs.size(), 0);
   for (size_t i = 0; i < locs.size(); ++i) {
     offsets[i] = pages.size() * payload;
     AppendRunPages(locs[i], &pages);
   }
   RASED_RETURN_IF_ERROR(pager_->ReadPages(pages, batch.arena(), io));
   for (size_t i = 0; i < locs.size(); ++i) {
-    if (locs[i].legacy) {
-      RASED_RETURN_IF_ERROR(batch.BindLegacyDense(i, offsets[i]));
-    } else {
-      RASED_RETURN_IF_ERROR(batch.BindEncoded(
-          i, offsets[i], locs[i].blob_bytes, locs[i].encoding));
-    }
+    RASED_RETURN_IF_ERROR(batch.BindEncoded(i, offsets[i], locs[i].blob_bytes,
+                                            locs[i].encoding));
   }
   if (metrics_.cube_reads != nullptr) {
-    metrics_.cube_reads->Increment(keys.size());
+    metrics_.cube_reads->Increment(locs.size());
   }
   return batch;
 }

@@ -64,15 +64,12 @@ struct IndexStorageStats {
 /// Physical location and encoding metadata of one stored cube, the value
 /// type of the catalog's per-level maps. A cube blob occupies `num_pages`
 /// physically consecutive pages starting at `first_page`; `blob_bytes` is
-/// its exact serialized length (RCUB header + body for encoded cubes, the
-/// raw dense image for legacy seed-format entries, which predate the blob
-/// header — `legacy` marks those so readers skip header parsing).
+/// its exact serialized length (RCUB header + body).
 struct CubeLoc {
   PageId first_page = kInvalidPageId;
   uint32_t num_pages = 1;
   CubeEncoding encoding = CubeEncoding::kDenseRaw;
   uint64_t blob_bytes = 0;
-  bool legacy = false;
 };
 
 /// One immutable published catalog version (MVCC). A version maps cube
@@ -291,8 +288,9 @@ class TemporalIndex {
   Pager* pager() { return pager_.get(); }
   const Pager* pager() const { return pager_.get(); }
 
-  /// Persists the catalog (current version only; free pages are
-  /// reconstructed on Open); called automatically on destruction.
+  /// Makes the pages durable, then persists the catalog (current version
+  /// only; free pages are reconstructed on Open); called automatically on
+  /// destruction.
   Status Sync();
 
  private:
@@ -341,18 +339,12 @@ class TemporalIndex {
                                        const CubeKey* in_memory_key,
                                        const SparseCube* in_memory_cube) const;
 
-  /// One cube blob read into a caller's buffer: its encoding and body.
-  struct BlobBody {
-    CubeEncoding encoding;
-    const unsigned char* data;
-    size_t bytes;
-  };
-
-  /// Reads `loc`'s page run into `buf` in one coalesced pread and locates
-  /// the body (blob-header path for encoded cubes, raw dense for legacy
-  /// entries), checking the header against the catalog.
-  Result<BlobBody> ReadBlobAtLoc(const CubeLoc& loc, IoStats* io,
-                                 std::vector<unsigned char>* buf) const;
+  /// Reads the page runs of `locs` in one Pager::ReadPages call and binds
+  /// each blob (EncodedCubeBatch::BindEncoded checks its header against
+  /// the catalog). Every cube read — batched, single or rollup child —
+  /// goes through here.
+  Result<EncodedCubeBatch> ReadLocs(std::span<const CubeLoc> locs,
+                                    IoStats* io) const;
 
   /// Builds the next version from `staging` (copy-on-write per level),
   /// swaps it in, retires the base version, and runs a reclamation sweep.

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -38,6 +39,25 @@ Status WriteFile(const std::string& path, std::string_view contents) {
   return Status::OK();
 }
 
+namespace {
+
+/// Opens `path` with `flags` and fsyncs it; any failure is an IOError.
+Status FsyncPath(const std::string& path, int flags) {
+  int fd = ::open(path.c_str(), flags);
+  if (fd < 0) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
+  }
+  const bool synced = ::fsync(fd) == 0;
+  const int sync_errno = errno;
+  ::close(fd);
+  if (!synced) {
+    return Status::IOError("fsync " + path + ": " + std::strerror(sync_errno));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   std::string tmp = path + ".tmp";
   {
@@ -48,18 +68,16 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
     if (!out) return Status::IOError("short write to " + tmp);
   }
   // Durability before the rename: fsync the temp file.
-  int fd = ::open(tmp.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  RASED_RETURN_IF_ERROR(FsyncPath(tmp, O_RDONLY));
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
     return Status::IOError("rename " + tmp + " -> " + path + ": " +
                            ec.message());
   }
-  return Status::OK();
+  // And after it: fsync the directory, so the new name itself is durable.
+  std::string dir = fs::path(path).parent_path().string();
+  return FsyncPath(dir.empty() ? "." : dir, O_RDONLY | O_DIRECTORY);
 }
 
 Status AppendFile(const std::string& path, std::string_view contents) {

@@ -20,8 +20,9 @@ Result<std::string> ReadFile(const std::string& path);
 Status WriteFile(const std::string& path, std::string_view contents);
 
 /// Crash-safe replacement: writes to a temp file in the same directory,
-/// fsyncs, then atomically renames over `path`. Readers never observe a
-/// torn file. Used for index catalogs and other metadata.
+/// fsyncs it, atomically renames it over `path`, then fsyncs the
+/// directory. Readers never observe a torn file; a failed open or fsync is
+/// an IOError. Used for index catalogs and other metadata.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
 /// Appends the buffer to the file, creating it when absent.

@@ -101,14 +101,19 @@ Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
   std::memcpy(&page_size, header + 8, 8);
   std::memcpy(&num_pages, header + 16, 8);
   std::memcpy(&crc, header + 24, 4);
-  if (magic != kMagic || version < kMinSupportedVersion ||
-      version > kVersion) {
+  if (magic != kMagic || version > kVersion) {
     ::close(fd);
     return Status::Corruption("bad page file header in " + path);
   }
   if (crc != Crc32c(header, 24)) {
     ::close(fd);
     return Status::Corruption("page file header checksum mismatch in " + path);
+  }
+  if (version < kMinSupportedVersion) {
+    ::close(fd);
+    return Status::NotSupported(
+        StrFormat("page file %s is format v%u; v%u or later is required",
+                  path.c_str(), version, kMinSupportedVersion));
   }
   return std::unique_ptr<PageFile>(
       new PageFile(path, fd, static_cast<size_t>(page_size), num_pages));

@@ -35,11 +35,10 @@ class PageFile {
  public:
   static constexpr uint32_t kMagic = 0x52415345;  // "RASE"
   /// Format version written to new files. v2 marks files whose cube pages
-  /// may hold multi-page encoded blobs (cube/cube_codec.h); the page
-  /// layout itself is unchanged, so Open() accepts v1 (seed-format) files
-  /// transparently.
+  /// may hold multi-page encoded blobs (cube/cube_codec.h); Open() rejects
+  /// v1 (seed-format) files, whose cube pages carry no blob header.
   static constexpr uint32_t kVersion = 2;
-  static constexpr uint32_t kMinSupportedVersion = 1;
+  static constexpr uint32_t kMinSupportedVersion = 2;
   static constexpr size_t kChecksumBytes = 4;
 
   /// Creates a new page file (fails if it already exists).

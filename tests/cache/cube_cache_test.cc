@@ -61,17 +61,14 @@ class CubeCacheTest : public ::testing::Test {
   }
 
   // Resident charge of every cube of `level` in `snapshot`, newest `n`
-  // only — the budget that admits exactly those cubes on preload. A delta
-  // cube is resident dense; the others keep their encoded body.
+  // only — the budget that admits exactly those cubes on preload. Every
+  // cube keeps its encoded body.
   static uint64_t BytesForLatest(const CatalogSnapshot& snapshot, Level level,
                                  size_t n) {
     uint64_t total = 0;
     for (const CubeKey& key : snapshot.LatestKeys(level, n)) {
       CubeLoc loc = snapshot.LocOf(key).value();
-      total += CubeCache::EntryBytes(
-          loc.encoding == CubeEncoding::kDeltaVarint
-              ? TinySchema().cube_bytes()
-              : loc.blob_bytes - CubeBlobHeader::kBytes);
+      total += CubeCache::EntryBytes(loc.blob_bytes - CubeBlobHeader::kBytes);
     }
     return total;
   }
@@ -426,7 +423,7 @@ TEST_F(CubeCacheTest, InvalidateRangeReleasesBytes) {
 
 // The budget is a true limit on memory: after Warm, the resident-bytes
 // gauge must match the heap the warm pass kept (allocated - freed, as the
-// allocator hooks measure it) within 5%, on an index mixing all three
+// allocator hooks measure it) within 5%, on an index mixing both
 // encodings.
 TEST_F(CubeCacheTest, ResidentBytesGaugeMatchesWarmHeap) {
   Rng rng(5);
@@ -438,14 +435,14 @@ TEST_F(CubeCacheTest, ResidentBytesGaugeMatchesWarmHeap) {
       return cube;
     }
     for (uint32_t c = 0; c < schema.num_cells(); ++c) {
-      // Small counts compress to delta; full-width ones stay dense.
+      // Small counts compress to COO; full-width ones stay dense.
       uint64_t value = i % 3 == 1 ? 1 + c % 3 : rng.Next();
       cube.Add((c / 128) % 3, (c / 16) % 8, (c / 4) % 4, c % 4, value);
     }
     return cube;
   });
   CatalogSnapshot snapshot = index->Snapshot();
-  int per_encoding[3] = {0, 0, 0};
+  int per_encoding[2] = {0, 0};
   for (int level = 0; level < kNumLevels; ++level) {
     for (const CubeKey& key : snapshot.LatestKeys(
              static_cast<Level>(level), std::numeric_limits<size_t>::max())) {
@@ -453,7 +450,6 @@ TEST_F(CubeCacheTest, ResidentBytesGaugeMatchesWarmHeap) {
     }
   }
   ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kSparseCoo)], 0);
-  ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kDeltaVarint)], 0);
   ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kDenseRaw)], 0);
 
   MetricsRegistry registry;

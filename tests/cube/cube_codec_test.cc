@@ -15,6 +15,8 @@ namespace {
 
 CubeSchema TinySchema() { return CubeSchema{3, 8, 4, 4}; }  // 384 cells
 
+constexpr uint64_t kHighBit = uint64_t{1} << 63;
+
 /// Fills ~density * num_cells cells with random small counts.
 DataCube RandomCube(const CubeSchema& schema, double density, uint64_t seed) {
   Rng rng(seed);
@@ -41,24 +43,53 @@ void PutVarint(std::vector<unsigned char>* out, uint64_t v) {
   out->push_back(static_cast<unsigned char>(v));
 }
 
-/// The densities the adaptive encoder must round-trip: empty, deep-sparse,
-/// at the sparse/delta threshold, mid, and fully dense.
+/// Fills every cell with a full-width count: a COO entry then costs more
+/// than the 8-byte dense cell, so the adaptive encoder stores it dense.
+DataCube FullWidthCube(const CubeSchema& schema, uint64_t seed) {
+  Rng rng(seed);
+  DataCube cube(schema);
+  for (size_t i = 0; i < schema.num_cells(); ++i) {
+    cube.mutable_cells()[i] = rng.Next() | kHighBit;
+  }
+  return cube;
+}
+
+/// The COO body length of `cube`, counted independently of the encoder.
+size_t CooBodyBytes(const SparseCube& cube) {
+  std::vector<unsigned char> body;
+  PutVarint(&body, cube.nnz());
+  uint64_t next_min = 0;
+  for (const CubeCell& cell : cube.cells()) {
+    PutVarint(&body, cell.index - next_min);
+    PutVarint(&body, cell.count);
+    next_min = cell.index + 1;
+  }
+  return body.size();
+}
+
+/// The densities the encoder must round-trip: empty, deep-sparse, mid and
+/// fully dense.
 constexpr double kDensities[] = {0.0, 0.01, 0.05, 0.10, 0.30, 0.70, 1.0};
+
+constexpr CubeEncodingPolicy kPolicies[] = {CubeEncodingPolicy::kAdaptive,
+                                            CubeEncodingPolicy::kForceDense};
 
 TEST(CubeCodecTest, RoundTripAllDensities) {
   const CubeSchema schema = TinySchema();
   for (double density : kDensities) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       DataCube cube = RandomCube(schema, density, seed);
-      EncodedCube encoded = EncodedCube::Encode(cube);
-      auto decoded = encoded.Decode();
-      ASSERT_TRUE(decoded.ok())
-          << CubeEncodingName(encoded.encoding()) << " density=" << density
-          << ": " << decoded.status().ToString();
-      EXPECT_EQ(decoded.value(), cube)
-          << CubeEncodingName(encoded.encoding()) << " density=" << density;
-      // Adaptive never beats itself with a bigger-than-dense body.
-      EXPECT_LE(encoded.body_bytes(), schema.cube_bytes());
+      for (CubeEncodingPolicy policy : kPolicies) {
+        EncodedCube encoded = EncodedCube::Encode(cube, policy);
+        auto decoded = encoded.Decode();
+        ASSERT_TRUE(decoded.ok())
+            << CubeEncodingName(encoded.encoding()) << " density=" << density
+            << ": " << decoded.status().ToString();
+        EXPECT_EQ(decoded.value(), cube)
+            << CubeEncodingName(encoded.encoding()) << " density=" << density;
+        // Never a bigger-than-dense body.
+        EXPECT_LE(encoded.body_bytes(), schema.cube_bytes());
+      }
     }
   }
 }
@@ -74,9 +105,9 @@ TEST(CubeCodecTest, AllZeroCubeEncodesTiny) {
 }
 
 TEST(CubeCodecTest, FullyDenseCubeStillRoundTrips) {
-  DataCube cube = RandomCube(TinySchema(), 1.0, 99);
+  DataCube cube = FullWidthCube(TinySchema(), 99);
   EncodedCube encoded = EncodedCube::Encode(cube);
-  EXPECT_NE(encoded.encoding(), CubeEncoding::kSparseCoo);
+  EXPECT_EQ(encoded.encoding(), CubeEncoding::kDenseRaw);
   auto decoded = encoded.Decode();
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), cube);
@@ -93,12 +124,43 @@ TEST(CubeCodecTest, ForceDensePolicyIsDenseRaw) {
   EXPECT_EQ(decoded.value(), cube);
 }
 
+// The size rule: COO exactly when its body is smaller than the dense
+// image, whatever the density — a full cube of small counts stores COO.
 TEST(CubeCodecTest, SparseChosenBelowThresholdDeltaAbove) {
-  EXPECT_EQ(EncodedCube::Encode(RandomCube(TinySchema(), 0.03, 3)).encoding(),
-            CubeEncoding::kSparseCoo);
-  EncodedCube dense_side = EncodedCube::Encode(RandomCube(TinySchema(), 0.9, 3));
-  EXPECT_TRUE(dense_side.encoding() == CubeEncoding::kDeltaVarint ||
-              dense_side.encoding() == CubeEncoding::kDenseRaw);
+  const CubeSchema schema = TinySchema();
+  const DataCube cubes[] = {RandomCube(schema, 0.03, 3),
+                            RandomCube(schema, 1.0, 3),
+                            FullWidthCube(schema, 3)};
+  const CubeEncoding want[] = {CubeEncoding::kSparseCoo,
+                               CubeEncoding::kSparseCoo,
+                               CubeEncoding::kDenseRaw};
+  for (size_t i = 0; i < std::size(cubes); ++i) {
+    const SparseCube sparse = SparseCube::FromDense(cubes[i]);
+    EXPECT_EQ(CooBodyBytes(sparse) < schema.cube_bytes(),
+              want[i] == CubeEncoding::kSparseCoo)
+        << i;
+    EncodedCube encoded = EncodedCube::Encode(sparse);
+    EXPECT_EQ(encoded.encoding(), want[i]) << i;
+    EXPECT_EQ(encoded.body_bytes(), want[i] == CubeEncoding::kSparseCoo
+                                        ? CooBodyBytes(sparse)
+                                        : schema.cube_bytes())
+        << i;
+  }
+  // On the edge, 8 cells (a 64-byte dense image): five 10-byte counts
+  // and a sixth of 7 bytes make a 1 + 5 * 11 + 8 = 64-byte COO body, which
+  // stores dense; a sixth of 6 bytes makes 63, which stores COO.
+  const CubeSchema eight{1, 2, 2, 2};
+  for (const auto& [sixth, encoding] :
+       {std::pair{uint64_t{1} << 42, CubeEncoding::kDenseRaw},
+        std::pair{uint64_t{1} << 35, CubeEncoding::kSparseCoo}}) {
+    std::vector<CubeCell> cells;
+    for (uint64_t i = 0; i < 5; ++i) cells.push_back({i, kHighBit});
+    cells.push_back({5, sixth});
+    const SparseCube cube = SparseCube::FromPairs(eight, cells);
+    EXPECT_EQ(CooBodyBytes(cube), encoding == CubeEncoding::kDenseRaw ? 64u
+                                                                       : 63u);
+    EXPECT_EQ(EncodedCube::Encode(cube).encoding(), encoding);
+  }
 }
 
 TEST(CubeCodecTest, SerializeToWritesParsableHeader) {
@@ -131,6 +193,12 @@ TEST(CubeCodecTest, HeaderRejectsBadMagicVersionReserved) {
   bad = blob;
   bad[4] = 0x7F;  // version
   EXPECT_FALSE(CubeBlobHeader::Parse(bad.data(), bad.size()).ok());
+
+  bad = blob;
+  bad[6] = 2;  // encoding tag: only dense (0) and sparse (1) exist
+  EXPECT_TRUE(CubeBlobHeader::Parse(bad.data(), bad.size())
+                  .status()
+                  .IsCorruption());
 
   bad = blob;
   bad[7] = 1;  // reserved must be zero
@@ -218,29 +286,31 @@ TEST(CubeCodecTest, AccumulateSliceMatchesDenseKernel) {
   Rng rng(123);
   for (double density : kDensities) {
     DataCube cube = RandomCube(schema, density, 1000 + rng.Uniform(1 << 20));
-    EncodedCube encoded = EncodedCube::Encode(cube);
-    for (int trial = 0; trial < 8; ++trial) {
-      CubeSlice slice;
-      if (rng.Bernoulli(0.5)) slice.countries = {0, 3, 5};
-      if (rng.Bernoulli(0.5)) slice.road_types = {1, 2};
-      if (rng.Bernoulli(0.3)) slice.update_types = {0};
-      slice.Normalize();
-      GroupBySpec spec;
-      spec.element_type = rng.Bernoulli(0.5);
-      spec.country = rng.Bernoulli(0.5);
-      spec.road_type = rng.Bernoulli(0.5);
-      spec.update_type = rng.Bernoulli(0.5);
+    for (CubeEncodingPolicy policy : kPolicies) {
+      EncodedCube encoded = EncodedCube::Encode(cube, policy);
+      for (int trial = 0; trial < 8; ++trial) {
+        CubeSlice slice;
+        if (rng.Bernoulli(0.5)) slice.countries = {0, 3, 5};
+        if (rng.Bernoulli(0.5)) slice.road_types = {1, 2};
+        if (rng.Bernoulli(0.3)) slice.update_types = {0};
+        slice.Normalize();
+        GroupBySpec spec;
+        spec.element_type = rng.Bernoulli(0.5);
+        spec.country = rng.Bernoulli(0.5);
+        spec.road_type = rng.Bernoulli(0.5);
+        spec.update_type = rng.Bernoulli(0.5);
 
-      const size_t slots = GroupAccumulatorSize(schema, spec);
-      std::vector<uint64_t> want(slots, 0);
-      cube.SumSliceInto(slice, spec, want.data());
-      std::vector<uint64_t> got(slots, 0);
-      ASSERT_TRUE(AccumulateEncodedSlice(SliceLuts(schema, slice, spec),
-                                         encoded.encoding(), encoded.body(),
-                                         encoded.body_bytes(), got.data())
-                      .ok());
-      EXPECT_EQ(got, want) << CubeEncodingName(encoded.encoding())
-                           << " density=" << density << " trial=" << trial;
+        const size_t slots = GroupAccumulatorSize(schema, spec);
+        std::vector<uint64_t> want(slots, 0);
+        cube.SumSliceInto(slice, spec, want.data());
+        std::vector<uint64_t> got(slots, 0);
+        ASSERT_TRUE(AccumulateEncodedSlice(SliceLuts(schema, slice, spec),
+                                           encoded.encoding(), encoded.body(),
+                                           encoded.body_bytes(), got.data())
+                        .ok());
+        EXPECT_EQ(got, want) << CubeEncodingName(encoded.encoding())
+                             << " density=" << density << " trial=" << trial;
+      }
     }
   }
 }
@@ -254,8 +324,9 @@ TEST(CubeCodecTest, BatchBindRejectsCatalogMismatch) {
   encoded.SerializeTo(batch.arena());
 
   // Catalog disagreeing with the on-page header must be Corruption.
+  ASSERT_EQ(encoded.encoding(), CubeEncoding::kSparseCoo);
   EXPECT_FALSE(
-      batch.BindEncoded(0, 0, blob_bytes, CubeEncoding::kDeltaVarint).ok());
+      batch.BindEncoded(0, 0, blob_bytes, CubeEncoding::kDenseRaw).ok());
   EXPECT_FALSE(
       batch.BindEncoded(0, 0, blob_bytes + 1, encoded.encoding()).ok());
 
@@ -267,38 +338,24 @@ TEST(CubeCodecTest, BatchBindRejectsCatalogMismatch) {
   EXPECT_EQ(decoded.value(), encoded.Decode().value());
 }
 
-TEST(CubeCodecTest, BatchLegacyDenseBindReadsRawImage) {
-  const CubeSchema schema = TinySchema();
-  DataCube cube = RandomCube(schema, 0.2, 43);
-  EncodedCubeBatch batch(schema, 1, schema.cube_bytes());
-  cube.SerializeTo(batch.arena());
-  ASSERT_TRUE(batch.BindLegacyDense(0, 0).ok());
-  EXPECT_EQ(batch.encoding(0), CubeEncoding::kDenseRaw);
-  auto decoded = batch.Decode(0);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), cube);
-}
-
 // --- The sparse write form's encoder and decoder ---------------------------
 
-/// 1 x 10 x 25 x 4 = 1000 cells, so a cube of exactly 100 non-zero cells
-/// sits on kSparseDensityThreshold.
+/// 1 x 10 x 25 x 4 = 1000 cells: an 8000-byte dense image.
 CubeSchema ThousandCellSchema() { return CubeSchema{1, 10, 25, 4}; }
-
-constexpr uint64_t kHighBit = uint64_t{1} << 63;
 
 /// One cube built two ways from the same cells: dense increments, and
 /// shuffled (index, count) pairs that split each count in up to three
 /// (so FromPairs must sort and coalesce). `nnz` distinct cells are
 /// non-zero — always including the first and last cell when nnz >= 2 —
-/// some with counts of 2^63 and above; a few more cells get pairs that
-/// wrap to 0 modulo 2^64 and must vanish.
+/// one in `high_in` with counts of 2^63 and above; a few more cells get
+/// pairs that wrap to 0 modulo 2^64 and must vanish.
 struct TwinCubes {
   DataCube dense;
   SparseCube sparse;
 };
 
-TwinCubes RandomTwins(const CubeSchema& schema, size_t nnz, uint64_t seed) {
+TwinCubes RandomTwins(const CubeSchema& schema, size_t nnz, uint64_t seed,
+                      uint64_t high_in = 5) {
   Rng rng(seed);
   const size_t n = schema.num_cells();
   std::vector<uint64_t> order(n);
@@ -313,7 +370,7 @@ TwinCubes RandomTwins(const CubeSchema& schema, size_t nnz, uint64_t seed) {
   std::vector<CubeCell> pairs;
   for (size_t i = 0; i < nnz; ++i) {
     const uint64_t cell = order[i];
-    uint64_t count = rng.Uniform(5) == 0 ? kHighBit + rng.Uniform(1000)
+    uint64_t count = rng.Uniform(high_in) == 0 ? kHighBit + rng.Uniform(1000)
                                          : rng.Uniform(300) + 1;
     dense.mutable_cells()[cell] = count;
     const uint64_t part = count / 3;
@@ -344,26 +401,31 @@ std::vector<unsigned char> BlobOf(const EncodedCube& encoded) {
 
 TEST(CubeCodecTest, SparseEncodeIsByteIdenticalToDense) {
   const CubeSchema schema = ThousandCellSchema();
-  // Non-zero counts straddling the 10% threshold (100 of 1000 cells).
-  for (size_t nnz : {0, 1, 2, 50, 99, 100, 101, 150, 400, 1000}) {
+  // Non-zero counts from empty to full; where every count is full-width
+  // (high_in = 1), the COO body outgrows the 8000-byte dense image at
+  // about 727 cells, so both encodings are chosen.
+  size_t chosen[2] = {0, 0};
+  for (size_t nnz : {0, 1, 2, 50, 99, 100, 101, 150, 400, 700, 750, 1000}) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       SCOPED_TRACE(testing::Message() << "nnz=" << nnz << " seed=" << seed);
-      TwinCubes twins = RandomTwins(schema, nnz, seed);
+      TwinCubes twins = RandomTwins(schema, nnz, seed, seed % 2 ? 5 : 1);
       ASSERT_EQ(twins.sparse.nnz(), nnz);
       EXPECT_EQ(twins.sparse.ToDense(), twins.dense);
       EXPECT_EQ(SparseCube::FromDense(twins.dense), twins.sparse);
-      for (CubeEncodingPolicy policy :
-           {CubeEncodingPolicy::kAdaptive, CubeEncodingPolicy::kForceDense}) {
+      for (CubeEncodingPolicy policy : kPolicies) {
         EncodedCube from_sparse = EncodedCube::Encode(twins.sparse, policy);
         EXPECT_EQ(BlobOf(from_sparse),
                   BlobOf(EncodedCube::Encode(twins.dense, policy)));
         if (policy == CubeEncodingPolicy::kAdaptive) {
           EXPECT_EQ(from_sparse.encoding() == CubeEncoding::kSparseCoo,
-                    nnz <= 100);
+                    CooBodyBytes(twins.sparse) < schema.cube_bytes());
+          ++chosen[static_cast<int>(from_sparse.encoding())];
         }
       }
     }
   }
+  EXPECT_GT(chosen[static_cast<int>(CubeEncoding::kDenseRaw)], 0u);
+  EXPECT_GT(chosen[static_cast<int>(CubeEncoding::kSparseCoo)], 0u);
 }
 
 TEST(CubeCodecTest, SparseMergeEncodesLikeDenseSum) {
@@ -410,8 +472,7 @@ TEST(CubeCodecTest, SparseDecodeRoundTripsEveryEncoding) {
   const CubeSchema schema = TinySchema();
   for (double density : kDensities) {
     DataCube cube = RandomCube(schema, density, 77);
-    for (CubeEncodingPolicy policy :
-         {CubeEncodingPolicy::kAdaptive, CubeEncodingPolicy::kForceDense}) {
+    for (CubeEncodingPolicy policy : kPolicies) {
       EncodedCube encoded = EncodedCube::Encode(cube, policy);
       auto decoded = DecodeSparseCube(schema, encoded.encoding(),
                                       encoded.body(), encoded.body_bytes());

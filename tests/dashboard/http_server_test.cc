@@ -15,8 +15,10 @@
 namespace rased {
 namespace {
 
-/// Minimal test client: one request, returns the raw response.
-std::string Fetch(int port, const std::string& target) {
+/// Minimal test client: one request, returns the raw response — every
+/// byte received before the server closes the socket.
+std::string Fetch(int port, const std::string& target,
+                  const std::string& method = "GET") {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -28,7 +30,7 @@ std::string Fetch(int port, const std::string& target) {
     return "";
   }
   std::string request =
-      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      method + " " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   ::send(fd, request.data(), request.size(), 0);
   std::string response;
   char buf[4096];
@@ -102,6 +104,29 @@ TEST(HttpServerTest, HandlerControlsStatus) {
   std::string response = Fetch(server.port(), "/bad");
   EXPECT_NE(response.find("400"), std::string::npos);
   server.Stop();
+}
+
+TEST(HttpServerTest, HeadSendsGetHeadersWithoutBody) {
+  HttpServer server;
+  server.Route("/healthz", [](const HttpRequest&, HttpResponse* resp) {
+    resp->content_type = "text/plain";
+    resp->body = "ok\n";
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+  const std::string get = Fetch(server.port(), "/healthz");
+  const std::string head = Fetch(server.port(), "/healthz", "HEAD");
+  server.Stop();
+
+  const size_t get_end = get.find("\r\n\r\n");
+  const size_t head_end = head.find("\r\n\r\n");
+  ASSERT_NE(get_end, std::string::npos);
+  ASSERT_NE(head_end, std::string::npos);
+  EXPECT_EQ(head.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << head;
+  // The Content-Length GET would send, non-zero...
+  EXPECT_NE(head.find("Content-Length: 3\r\n"), std::string::npos) << head;
+  EXPECT_EQ(get.substr(get_end + 4), "ok\n");
+  // ...and not one body byte before the socket closes.
+  EXPECT_EQ(head.size(), head_end + 4) << head;
 }
 
 TEST(HttpServerTest, ServesMultipleSequentialRequests) {

@@ -4,6 +4,7 @@
 
 #include "io/env.h"
 #include "util/random.h"
+#include "util/str_util.h"
 
 namespace rased {
 namespace {
@@ -212,6 +213,44 @@ TEST_F(TemporalIndexTest, OpenRejectsMismatchedOptions) {
   TemporalIndexOptions wrong_schema = options;
   wrong_schema.schema.num_countries = 99;
   EXPECT_FALSE(TemporalIndex::Open(wrong_schema).ok());
+}
+
+// Every catalog cube line has 7 fields (level, day, first page, pages,
+// encoding, blob bytes); a seed-format 4-field line and an unknown
+// encoding are both Corruption.
+TEST_F(TemporalIndexTest, OpenRejectsSeedFormatAndUnknownEncodingLines) {
+  TemporalIndexOptions options = Options();
+  Date day = Date::FromYmd(2021, 6, 1);
+  {
+    auto index = TemporalIndex::Create(options);
+    ASSERT_TRUE(index.ok());
+    ASSERT_TRUE(index.value()
+                    ->AppendDay(day, CubeWithTotal(TinySchema(), 5))
+                    .ok());
+  }
+  const std::string path = env::JoinPath(options.dir, "catalog");
+  const std::string catalog = env::ReadFile(path).value();
+  const size_t begin = catalog.find("\ncube ") + 1;
+  const size_t end = catalog.find('\n', begin);
+  ASSERT_NE(begin, 0u);
+  std::vector<std::string> f = Split(catalog.substr(begin, end - begin), ' ');
+  ASSERT_EQ(f.size(), 7u);
+  auto open_with_line = [&](const std::string& line) {
+    EXPECT_TRUE(env::WriteFile(path, catalog.substr(0, begin) + line +
+                                         catalog.substr(end))
+                    .ok());
+    return TemporalIndex::Open(options).status();
+  };
+  Status seed = open_with_line(f[0] + " " + f[1] + " " + f[2] + " " + f[3]);
+  EXPECT_TRUE(seed.IsCorruption()) << seed.ToString();
+  f[5] = "2";
+  std::string line = f[0];
+  for (size_t i = 1; i < f.size(); ++i) line += " " + f[i];
+  Status unknown = open_with_line(line);
+  EXPECT_TRUE(unknown.IsCorruption()) << unknown.ToString();
+  // The untouched catalog still opens.
+  ASSERT_TRUE(env::WriteFile(path, catalog).ok());
+  EXPECT_TRUE(TemporalIndex::Open(options).ok());
 }
 
 TEST_F(TemporalIndexTest, CreateRejectsExisting) {

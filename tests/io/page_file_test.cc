@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "io/crc32c.h"
 #include "io/env.h"
 
 namespace rased {
@@ -134,6 +135,28 @@ TEST_F(PageFileTest, DetectsCorruptedHeader) {
     f.write(&evil, 1);
   }
   EXPECT_FALSE(PageFile::Open(Path()).ok());
+}
+
+TEST_F(PageFileTest, RejectsSeedFormatV1Header) {
+  { ASSERT_TRUE(PageFile::Create(Path(), 128).ok()); }
+  // Rewrite the header as a v1 file's, with a valid checksum: only the
+  // version makes it unreadable.
+  {
+    std::fstream f(Path(), std::ios::binary | std::ios::in | std::ios::out);
+    unsigned char header[28];
+    f.read(reinterpret_cast<char*>(header), sizeof(header));
+    const uint32_t version = 1;
+    std::memcpy(header + 4, &version, 4);
+    const uint32_t crc = Crc32c(header, 24);
+    std::memcpy(header + 24, &crc, 4);
+    f.seekp(0);
+    f.write(reinterpret_cast<const char*>(header), sizeof(header));
+  }
+  auto file = PageFile::Open(Path());
+  ASSERT_FALSE(file.ok());
+  EXPECT_TRUE(file.status().IsNotSupported()) << file.status().ToString();
+  EXPECT_NE(file.status().ToString().find("v1"), std::string::npos)
+      << file.status().ToString();
 }
 
 TEST_F(PageFileTest, ReadPagesReturnsAdjacentRunWithChecksums) {

@@ -37,6 +37,16 @@ DataCube RandomCube(const CubeSchema& schema, Rng* rng, int adds = 200) {
   return cube;
 }
 
+// Every cell at a full-width count: a COO entry would cost more than the
+// 8-byte cell, so the cube stores dense.
+DataCube FullWidthCube(const CubeSchema& schema, Rng* rng) {
+  DataCube cube(schema);
+  for (size_t i = 0; i < schema.num_cells(); ++i) {
+    cube.mutable_cells()[i] = rng->Next() | (uint64_t{1} << 63);
+  }
+  return cube;
+}
+
 // Random selection over a dimension: unconstrained half the time,
 // otherwise 1..3 values that may include one out-of-range id (which the
 // kernels must skip exactly like ForEachCell does).
@@ -113,15 +123,26 @@ class HotpathIndexTest : public ::testing::Test {
     auto index = TemporalIndex::Create(options);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = std::move(index).value();
-    // Busy days store delta-varint, quiet ones sparse COO, so the batched
-    // reads and both cache-resident forms (dense, COO) all get exercised.
+    // Busy days store dense, quiet ones sparse COO, so the batched reads
+    // and both cache-resident forms get exercised, on hits and misses.
     Rng rng(77);
     for (int i = 0; i < kDays; ++i) {
       ASSERT_TRUE(index_
                       ->AppendDay(first_.AddDays(i),
-                                  RandomCube(schema_, &rng, i % 2 ? 12 : 200))
+                                  i % 2 ? RandomCube(schema_, &rng, 12)
+                                        : FullWidthCube(schema_, &rng))
                       .ok());
     }
+    int per_encoding[2] = {0, 0};
+    CatalogSnapshot snapshot = index_->Snapshot();
+    for (int level = 0; level < kNumLevels; ++level) {
+      for (const CubeKey& key :
+           snapshot.LatestKeys(static_cast<Level>(level), kDays)) {
+        ++per_encoding[static_cast<int>(snapshot.LocOf(key)->encoding)];
+      }
+    }
+    ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kSparseCoo)], 0);
+    ASSERT_GT(per_encoding[static_cast<int>(CubeEncoding::kDenseRaw)], 0);
   }
 
   CubeSchema schema_{3, 16, 8, 4};

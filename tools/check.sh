@@ -383,9 +383,10 @@ run_matrix_entry "asan+ubsan" "${PREFIX}-asan" "" \
 # TSan: the concurrency-sensitive suites. These are the classes that got
 # locks/annotations in the correctness-tooling pass, plus the
 # observability suites (registry hammer, trace ring, /metrics endpoint);
-# a race anywhere in them must surface here.
+# a race anywhere in them must surface here. The selection lives in
+# tools/tsan_tests.regex, which CI's TSan step reads too.
 run_matrix_entry "tsan" "${PREFIX}-tsan" \
-  "-R (Dashboard|Concurrent|HttpServer|CubeCache|CubeCodec|AggKernels|LegacyFormat|Replication|TemporalIndex|Warehouse|Hotpath|Ingest|Compression|Metrics|Trace|Slo|RequestContext|Profiler|HeapStats)" \
+  "-R $(cat tools/tsan_tests.regex)" \
   "-DRASED_SANITIZE=thread"
 
 # ----------------------------------------------------------------- gate ---
