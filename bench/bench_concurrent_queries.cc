@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(static_cast<int>(args.size()),
                                     args.data());
   if (quick) {
-    // A 2-year index in its own subdirectory: builds in seconds on a
-    // fresh tree instead of paying for the 16-year one, and never
+    // A 2-year index, rebuilt every run in its own subdirectory: builds
+    // in seconds instead of paying for the 16-year one, and never
     // collides with the full-size cached index.
-    env.data_dir = env::JoinPath(env.data_dir, "quick");
+    UseFreshQuickDir(&env);
     env.period = DateRange(Date::FromYmd(2020, 1, 1),
                            Date::FromYmd(2021, 12, 31));
     env.synth.period = env.period;

@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for RASED's hot primitives:
-// cube operations, record codec, crawler-facing XML parsing, zone lookup,
-// R-tree queries, CRC, and date arithmetic.
+// cube operations, record codec, the crawl path (changeset store, daily
+// diff and monthly history crawls at the paper rate), zone lookup, CRC,
+// and date arithmetic.
 
 #include <benchmark/benchmark.h>
 
 #include "collect/daily_crawler.h"
+#include "collect/monthly_crawler.h"
 #include "cube/data_cube.h"
 #include "geo/world_map.h"
 #include "io/crc32c.h"
@@ -88,32 +90,92 @@ void BM_RecordCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordCodec);
 
+// The crawl inputs of the dashbench paper fixture's generator (paper-scale
+// world and road types, 500 updates a day, seed 1): the 2020-06-15 day
+// and the whole of June 2020.
+struct PaperRateInputs {
+  PaperRateInputs() : world(305), roads(150) {
+    SynthOptions options;
+    options.seed = 1;
+    options.base_updates_per_day = 500.0;
+    options.period = DateRange(Date::FromYmd(2020, 1, 1),
+                               Date::FromYmd(2021, 12, 31));
+    UpdateGenerator gen(options, &world, &roads);
+    day = gen.GenerateDayArtifacts(Date::FromYmd(2020, 6, 15));
+    month = gen.GenerateMonthArtifacts(Date::FromYmd(2020, 6, 1));
+  }
+
+  static PaperRateInputs& Get() {
+    static PaperRateInputs* inputs = new PaperRateInputs();
+    return *inputs;
+  }
+
+  WorldMap world;
+  RoadTypeTable roads;
+  DayArtifacts day;
+  MonthArtifacts month;
+};
+
+// Arg 0: the day's changesets; arg 1: the month's.
+void BM_ChangesetStore(benchmark::State& state) {
+  PaperRateInputs& in = PaperRateInputs::Get();
+  const std::string& xml =
+      state.range(0) == 0 ? in.day.changesets_xml : in.month.changesets_xml;
+  size_t changesets = 0;
+  for (auto _ : state) {
+    ChangesetStore store;
+    Status s = store.AddFromXml(xml);
+    RASED_CHECK(s.ok());
+    changesets = store.size();
+    benchmark::DoNotOptimize(store);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(xml.size()));
+  state.counters["changesets"] = static_cast<double>(changesets);
+}
+BENCHMARK(BM_ChangesetStore)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 void BM_DailyCrawl(benchmark::State& state) {
-  WorldMap world(64);
-  RoadTypeTable roads(32);
-  SynthOptions options;
-  options.base_updates_per_day = 2000.0;
-  options.period = DateRange(Date::FromYmd(2021, 1, 1),
-                             Date::FromYmd(2021, 12, 31));
-  UpdateGenerator gen(options, &world, &roads);
-  DayArtifacts artifacts = gen.GenerateDayArtifacts(Date::FromYmd(2021, 6, 1));
+  PaperRateInputs& in = PaperRateInputs::Get();
   ChangesetStore changesets;
-  Status s = changesets.AddFromXml(artifacts.changesets_xml);
+  Status s = changesets.AddFromXml(in.day.changesets_xml);
   RASED_CHECK(s.ok());
-  DailyCrawler crawler(&world, &roads);
+  DailyCrawler crawler(&in.world, &in.roads);
   size_t records = 0;
   for (auto _ : state) {
     std::vector<UpdateRecord> out;
-    Status st = crawler.CrawlDiff(artifacts.osc_xml, changesets, &out);
+    Status st = crawler.CrawlDiff(in.day.osc_xml, changesets, &out);
     RASED_CHECK(st.ok());
     records = out.size();
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(artifacts.osc_xml.size()));
+                          static_cast<int64_t>(in.day.osc_xml.size()));
   state.counters["records"] = static_cast<double>(records);
 }
-BENCHMARK(BM_DailyCrawl);
+BENCHMARK(BM_DailyCrawl)->Unit(benchmark::kMicrosecond);
+
+void BM_MonthlyCrawl(benchmark::State& state) {
+  PaperRateInputs& in = PaperRateInputs::Get();
+  ChangesetStore changesets;
+  Status s = changesets.AddFromXml(in.month.changesets_xml);
+  RASED_CHECK(s.ok());
+  MonthlyCrawler crawler(&in.world, &in.roads);
+  const DateRange june(Date::FromYmd(2020, 6, 1), Date::FromYmd(2020, 6, 30));
+  size_t records = 0;
+  for (auto _ : state) {
+    std::vector<UpdateRecord> out;
+    Status st = crawler.CrawlHistory(in.month.history_xml, changesets, june,
+                                     &out);
+    RASED_CHECK(st.ok());
+    records = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(in.month.history_xml.size()));
+  state.counters["records"] = static_cast<double>(records);
+}
+BENCHMARK(BM_MonthlyCrawl)->Unit(benchmark::kMillisecond);
 
 void BM_ZoneLookup(benchmark::State& state) {
   WorldMap world(305);

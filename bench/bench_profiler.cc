@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(static_cast<int>(args.size()),
                                     args.data());
   if (quick) {
-    env.data_dir = env::JoinPath(env.data_dir, "quick");
+    UseFreshQuickDir(&env);
     env.period = DateRange(Date::FromYmd(2020, 1, 1),
                            Date::FromYmd(2021, 12, 31));
     env.synth.period = env.period;

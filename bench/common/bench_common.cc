@@ -41,6 +41,12 @@ std::unique_ptr<WorldMap> MakeWorld(const BenchEnv& env) {
   return world;
 }
 
+void UseFreshQuickDir(BenchEnv* env) {
+  env->data_dir = env::JoinPath(env->data_dir, "quick");
+  // NOLINT-RASED(status-discard): a first run has nothing to remove
+  (void)env::RemoveAll(env->data_dir);
+}
+
 std::unique_ptr<TemporalIndex> OpenOrBuildIndex(const BenchEnv& env,
                                                 int num_levels) {
   TemporalIndexOptions options;

@@ -53,6 +53,11 @@ struct BenchEnv {
   static BenchEnv FromArgs(int argc, char** argv);
 };
 
+/// Points `env` at an emptied "quick" subdirectory of its bench_dir. A
+/// quick-mode smoke gate then always builds its index with the code under
+/// test, never reopening one that an earlier build wrote.
+void UseFreshQuickDir(BenchEnv* env);
+
 /// Opens (building and persisting on first use) the 16-year bench index
 /// with the given number of hierarchy levels. The build streams
 /// CubeSynthesizer day cubes through the normal AppendDay maintenance

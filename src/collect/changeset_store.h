@@ -2,17 +2,19 @@
 #define RASED_COLLECT_CHANGESET_STORE_H_
 
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "osm/changeset.h"
 #include "util/result.h"
 
 namespace rased {
 
-/// In-memory lookup table of changeset metadata, populated from one or
-/// more changeset XML files. The crawlers use it to resolve the bounding
-/// box (and hence the country and representative coordinates) of way and
-/// relation updates, which carry no coordinates of their own (Section V).
+/// In-memory lookup table from changeset id to the centre of the
+/// changeset's bounding box, populated from one or more changeset XML
+/// files. The crawlers use it to locate way and relation updates, which
+/// carry no coordinates of their own (Section V). Entries live in one
+/// vector sorted by id, so filling the store costs a few allocations, not
+/// one per changeset.
 class ChangesetStore {
  public:
   ChangesetStore() = default;
@@ -22,16 +24,18 @@ class ChangesetStore {
   /// file).
   Status AddFromXml(std::string_view xml);
 
-  void Add(const Changeset& changeset);
+  void Add(const Changeset& changeset) { Put(ChangesetCentre::Of(changeset)); }
 
-  /// nullptr when unknown.
-  const Changeset* Find(uint64_t id) const;
+  /// nullptr when unknown. Valid until the store next changes.
+  const ChangesetCentre* Find(uint64_t id) const;
 
   size_t size() const { return by_id_.size(); }
   void Clear() { by_id_.clear(); }
 
  private:
-  std::unordered_map<uint64_t, Changeset> by_id_;
+  void Put(const ChangesetCentre& centre);
+
+  std::vector<ChangesetCentre> by_id_;  // ascending id
 };
 
 }  // namespace rased

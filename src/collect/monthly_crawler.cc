@@ -1,5 +1,7 @@
 #include "collect/monthly_crawler.h"
 
+#include <utility>
+
 #include "osm/history.h"
 
 namespace rased {
@@ -8,52 +10,55 @@ Status MonthlyCrawler::CrawlHistory(std::string_view history_xml,
                                     const ChangesetStore& changesets,
                                     const DateRange& window,
                                     std::vector<UpdateRecord>* out) {
-  // Consecutive versions of one element are adjacent in the file; keep the
-  // previous version to classify the current one.
-  std::optional<Element> previous;
-  Status s = HistoryReader::Parse(
-      history_xml, [this, &changesets, &window, out,
-                    &previous](const Element& e) {
-        ++stats_.elements_seen;
-        const Element* prev = nullptr;
-        if (previous.has_value() && previous->type == e.type &&
-            previous->meta.id == e.meta.id) {
-          prev = &previous.value();
-        }
-        Emit(e, prev, changesets, window, out);
-        previous = e;
-        return Status::OK();
-      });
-  return s;
+  // Consecutive versions of one element are adjacent in the file. Two
+  // records take turns: each version is read into `current`, classified
+  // against `previous`, then the two swap, so no version is copied.
+  HistoryReader reader(history_xml);
+  ElementVersion current, previous;
+  bool have_previous = false;
+  for (;;) {
+    RASED_ASSIGN_OR_RETURN(bool more, reader.Next(&current));
+    if (!more) return Status::OK();
+    ++stats_.elements_seen;
+    const ElementVersion* prev = nullptr;
+    if (have_previous && previous.type == current.type &&
+        previous.id == current.id) {
+      prev = &previous;
+    }
+    Emit(current, prev, changesets, window, out);
+    std::swap(current, previous);
+    have_previous = true;
+  }
 }
 
-void MonthlyCrawler::Emit(const Element& current, const Element* previous,
+void MonthlyCrawler::Emit(const ElementVersion& current,
+                          const ElementVersion* previous,
                           const ChangesetStore& changesets,
                           const DateRange& window,
                           std::vector<UpdateRecord>* out) {
-  Date date = current.meta.timestamp.date;
+  Date date = current.timestamp.date;
   if (!window.empty() && !window.Contains(date)) return;
 
   UpdateRecord r;
   r.element_type = current.type;
   r.date = date;
-  r.changeset_id = current.meta.changeset;
+  r.changeset_id = current.changeset;
 
   // Road type: from the current version's tags; a deleted version has no
   // tags, so fall back to the previous version's.
-  const std::string* highway = current.FindTag("highway");
+  const std::string* highway = current.FindHighway();
   if (highway == nullptr && previous != nullptr) {
-    highway = previous->FindTag("highway");
+    highway = previous->FindHighway();
   }
   r.road_type =
       highway != nullptr ? road_types_->Intern(*highway) : kRoadTypeNone;
 
   // Four-way classification (Section V, monthly crawler).
-  if (!current.meta.visible) {
+  if (!current.visible) {
     r.update_type = UpdateType::kDelete;
-  } else if (current.meta.version == 1 || previous == nullptr) {
+  } else if (current.version == 1 || previous == nullptr) {
     r.update_type = UpdateType::kNew;
-  } else if (Element::GeometryDiffers(current, *previous)) {
+  } else if (ElementVersion::GeometryDiffers(current, *previous)) {
     r.update_type = UpdateType::kGeometry;
   } else {
     r.update_type = UpdateType::kMetadata;
@@ -61,22 +66,22 @@ void MonthlyCrawler::Emit(const Element& current, const Element* previous,
 
   // Location: node coordinates (previous version's for deletes, which may
   // have none of their own), else the changeset bbox centre.
-  const Element* located = &current;
-  if (current.type == ElementType::kNode && !current.meta.visible &&
+  const ElementVersion* located = &current;
+  if (current.type == ElementType::kNode && !current.visible &&
       previous != nullptr) {
     located = previous;
   }
   if (located->type == ElementType::kNode &&
-      (located->meta.visible || located == previous)) {
+      (located->visible || located == previous)) {
     r.lat = located->lat;
     r.lon = located->lon;
     r.country = world_->CountryAt(LatLon{r.lat, r.lon});
     ++stats_.located_by_coordinates;
   } else {
-    const Changeset* cs = changesets.Find(current.meta.changeset);
+    const ChangesetCentre* cs = changesets.Find(current.changeset);
     if (cs != nullptr && cs->has_bbox) {
-      r.lat = cs->center_lat();
-      r.lon = cs->center_lon();
+      r.lat = cs->lat;
+      r.lon = cs->lon;
       r.country = world_->CountryAt(LatLon{r.lat, r.lon});
       ++stats_.located_by_changeset;
     } else {

@@ -1,7 +1,6 @@
 #ifndef RASED_COLLECT_MONTHLY_CRAWLER_H_
 #define RASED_COLLECT_MONTHLY_CRAWLER_H_
 
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -48,7 +47,7 @@ class MonthlyCrawler {
   void ResetStats() { stats_ = CrawlStats{}; }
 
  private:
-  void Emit(const Element& current, const Element* previous,
+  void Emit(const ElementVersion& current, const ElementVersion* previous,
             const ChangesetStore& changesets, const DateRange& window,
             std::vector<UpdateRecord>* out);
 

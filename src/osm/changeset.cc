@@ -2,50 +2,91 @@
 
 #include "osm/element_xml.h"
 #include "util/str_util.h"
-#include "xml/xml_reader.h"
 
 namespace rased {
 
 namespace {
 
-Status ParseOneChangeset(XmlReader& reader, Changeset* out) {
+// Where the two output forms differ: the full Changeset keeps everything,
+// ChangesetCentre only the id and the box centre.
+void SetFields(Changeset* out, uint64_t id, OsmTimestamp created_at,
+               OsmTimestamp closed_at, bool open, uint64_t uid,
+               std::string_view user, uint32_t num_changes) {
   *out = Changeset();
-  const std::string* id = reader.FindAttr("id");
+  out->id = id;
+  out->created_at = created_at;
+  out->closed_at = closed_at;
+  out->open = open;
+  out->uid = uid;
+  out->user = user;
+  out->num_changes = num_changes;
+}
+void SetFields(ChangesetCentre* out, uint64_t id, OsmTimestamp, OsmTimestamp,
+               bool, uint64_t, std::string_view, uint32_t) {
+  *out = ChangesetCentre();
+  out->id = id;
+}
+
+void SetBox(Changeset* out, double min_lat, double min_lon, double max_lat,
+            double max_lon) {
+  out->has_bbox = true;
+  out->min_lat = min_lat;
+  out->min_lon = min_lon;
+  out->max_lat = max_lat;
+  out->max_lon = max_lon;
+}
+void SetBox(ChangesetCentre* out, double min_lat, double min_lon,
+            double max_lat, double max_lon) {
+  out->has_bbox = true;
+  out->lat = (min_lat + max_lat) / 2.0;  // as Changeset::center_lat()
+  out->lon = (min_lon + max_lon) / 2.0;
+}
+
+void AddTag(Changeset* out, std::string_view k, std::string_view v) {
+  out->tags.push_back(Tag{std::string(k), std::string(v)});
+}
+void AddTag(ChangesetCentre*, std::string_view, std::string_view) {}
+
+template <typename Out>
+Status ParseOneChangeset(XmlReader& reader, Out* out) {
+  const std::string_view* id = reader.FindAttr("id");
   if (id == nullptr) {
     return Status::Corruption(
         StrFormat("<changeset> missing id (line %d)", reader.line()));
   }
-  RASED_ASSIGN_OR_RETURN(out->id, ParseUint(*id));
-  if (const std::string* v = reader.FindAttr("created_at")) {
-    RASED_ASSIGN_OR_RETURN(out->created_at, OsmTimestamp::Parse(*v));
+  RASED_ASSIGN_OR_RETURN(uint64_t id_value, ParseUint(*id));
+  OsmTimestamp created_at, closed_at;
+  if (const std::string_view* v = reader.FindAttr("created_at")) {
+    RASED_ASSIGN_OR_RETURN(created_at, OsmTimestamp::Parse(*v));
   }
-  if (const std::string* v = reader.FindAttr("closed_at")) {
-    RASED_ASSIGN_OR_RETURN(out->closed_at, OsmTimestamp::Parse(*v));
+  if (const std::string_view* v = reader.FindAttr("closed_at")) {
+    RASED_ASSIGN_OR_RETURN(closed_at, OsmTimestamp::Parse(*v));
   }
-  if (const std::string* v = reader.FindAttr("open")) {
-    out->open = (*v == "true");
+  const std::string_view* open = reader.FindAttr("open");
+  uint64_t uid = 0;
+  if (const std::string_view* v = reader.FindAttr("uid")) {
+    RASED_ASSIGN_OR_RETURN(uid, ParseUint(*v));
   }
-  if (const std::string* v = reader.FindAttr("uid")) {
-    RASED_ASSIGN_OR_RETURN(out->uid, ParseUint(*v));
+  const std::string_view* user = reader.FindAttr("user");
+  uint64_t num_changes = 0;
+  if (const std::string_view* v = reader.FindAttr("num_changes")) {
+    RASED_ASSIGN_OR_RETURN(num_changes, ParseUint(*v));
   }
-  if (const std::string* v = reader.FindAttr("user")) {
-    out->user = *v;
-  }
-  if (const std::string* v = reader.FindAttr("num_changes")) {
-    RASED_ASSIGN_OR_RETURN(uint64_t n, ParseUint(*v));
-    out->num_changes = static_cast<uint32_t>(n);
-  }
-  const std::string* min_lat = reader.FindAttr("min_lat");
-  const std::string* min_lon = reader.FindAttr("min_lon");
-  const std::string* max_lat = reader.FindAttr("max_lat");
-  const std::string* max_lon = reader.FindAttr("max_lon");
+  SetFields(out, id_value, created_at, closed_at,
+            open != nullptr && *open == "true", uid,
+            user != nullptr ? *user : std::string_view(),
+            static_cast<uint32_t>(num_changes));
+  const std::string_view* min_lat = reader.FindAttr("min_lat");
+  const std::string_view* min_lon = reader.FindAttr("min_lon");
+  const std::string_view* max_lat = reader.FindAttr("max_lat");
+  const std::string_view* max_lon = reader.FindAttr("max_lon");
   if (min_lat != nullptr && min_lon != nullptr && max_lat != nullptr &&
       max_lon != nullptr) {
-    out->has_bbox = true;
-    RASED_ASSIGN_OR_RETURN(out->min_lat, ParseDouble(*min_lat));
-    RASED_ASSIGN_OR_RETURN(out->min_lon, ParseDouble(*min_lon));
-    RASED_ASSIGN_OR_RETURN(out->max_lat, ParseDouble(*max_lat));
-    RASED_ASSIGN_OR_RETURN(out->max_lon, ParseDouble(*max_lon));
+    RASED_ASSIGN_OR_RETURN(double min_lat_value, ParseDouble(*min_lat));
+    RASED_ASSIGN_OR_RETURN(double min_lon_value, ParseDouble(*min_lon));
+    RASED_ASSIGN_OR_RETURN(double max_lat_value, ParseDouble(*max_lat));
+    RASED_ASSIGN_OR_RETURN(double max_lon_value, ParseDouble(*max_lon));
+    SetBox(out, min_lat_value, min_lon_value, max_lat_value, max_lon_value);
   }
 
   // Children: <tag k v/> and (ignored) discussion elements.
@@ -57,9 +98,9 @@ Status ParseOneChangeset(XmlReader& reader, Changeset* out) {
     }
     if (ev != XmlEvent::kStartElement) continue;
     if (reader.name() == "tag") {
-      const std::string* k = reader.FindAttr("k");
-      const std::string* v = reader.FindAttr("v");
-      if (k != nullptr && v != nullptr) out->tags.push_back(Tag{*k, *v});
+      const std::string_view* k = reader.FindAttr("k");
+      const std::string_view* v = reader.FindAttr("v");
+      if (k != nullptr && v != nullptr) AddTag(out, *k, *v);
     }
     RASED_RETURN_IF_ERROR(reader.SkipElement());
   }
@@ -68,30 +109,64 @@ Status ParseOneChangeset(XmlReader& reader, Changeset* out) {
 
 }  // namespace
 
-Status ChangesetReader::Parse(std::string_view xml, const Callback& cb) {
-  XmlReader reader(xml);
-  for (;;) {
-    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader.Next());
-    if (ev == XmlEvent::kEof) return Status::OK();
-    if (ev == XmlEvent::kStartElement) break;
+ChangesetCentre ChangesetCentre::Of(const Changeset& changeset) {
+  ChangesetCentre c;
+  c.id = changeset.id;
+  c.has_bbox = changeset.has_bbox;
+  if (changeset.has_bbox) {
+    c.lat = changeset.center_lat();
+    c.lon = changeset.center_lon();
   }
-  if (reader.name() != "osm") {
-    return Status::Corruption("expected <osm> root, got <" + reader.name() +
-                              ">");
+  return c;
+}
+
+template <typename Out>
+Result<bool> ChangesetReader::NextChangeset(Out* out) {
+  while (!done_ && !in_root_) {
+    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+    if (ev == XmlEvent::kEof) {
+      done_ = true;
+    } else if (ev == XmlEvent::kStartElement) {
+      if (reader_.name() != "osm") {
+        return Status::Corruption("expected <osm> root, got <" +
+                                  std::string(reader_.name()) + ">");
+      }
+      in_root_ = true;
+    }
   }
-  for (;;) {
-    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader.Next());
-    if (ev == XmlEvent::kEndElement || ev == XmlEvent::kEof) break;
+  while (!done_) {
+    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+    if (ev == XmlEvent::kEndElement || ev == XmlEvent::kEof) {
+      done_ = true;
+      break;
+    }
     if (ev != XmlEvent::kStartElement) continue;
-    if (reader.name() != "changeset") {
-      RASED_RETURN_IF_ERROR(reader.SkipElement());
+    if (reader_.name() != "changeset") {
+      RASED_RETURN_IF_ERROR(reader_.SkipElement());
       continue;
     }
-    Changeset cs;
-    RASED_RETURN_IF_ERROR(ParseOneChangeset(reader, &cs));
-    RASED_RETURN_IF_ERROR(cb(cs));
+    RASED_RETURN_IF_ERROR(ParseOneChangeset(reader_, out));
+    return true;
   }
-  return Status::OK();
+  return false;
+}
+
+Result<bool> ChangesetReader::Next(Changeset* changeset) {
+  return NextChangeset(changeset);
+}
+
+Result<bool> ChangesetReader::Next(ChangesetCentre* centre) {
+  return NextChangeset(centre);
+}
+
+Status ChangesetReader::Parse(std::string_view xml, const Callback& cb) {
+  ChangesetReader reader(xml);
+  Changeset changeset;
+  for (;;) {
+    RASED_ASSIGN_OR_RETURN(bool more, reader.Next(&changeset));
+    if (!more) return Status::OK();
+    RASED_RETURN_IF_ERROR(cb(changeset));
+  }
 }
 
 Result<std::vector<Changeset>> ChangesetReader::ParseAll(

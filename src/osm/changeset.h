@@ -8,6 +8,7 @@
 
 #include "osm/element.h"
 #include "util/result.h"
+#include "xml/xml_reader.h"
 #include "xml/xml_writer.h"
 
 namespace rased {
@@ -41,13 +42,44 @@ struct Changeset {
   double center_lon() const { return (min_lon + max_lon) / 2.0; }
 };
 
+/// The part of a changeset the crawlers use: its id and the centre of its
+/// bounding box.
+struct ChangesetCentre {
+  uint64_t id = 0;
+  bool has_bbox = false;
+  double lat = 0.0;  // Changeset::center_lat(), valid when has_bbox
+  double lon = 0.0;  // Changeset::center_lon()
+
+  static ChangesetCentre Of(const Changeset& changeset);
+};
+
 /// Reader for changeset metadata files (<osm><changeset .../>...</osm>).
+///
+/// An instance pulls one changeset at a time into a caller-owned record,
+/// either the full Changeset or the crawler's ChangesetCentre, through the
+/// same parse. The static helpers stream full changesets.
 class ChangesetReader {
  public:
   using Callback = std::function<Status(const Changeset&)>;
 
+  /// Borrows `xml`, which must outlive the reader.
+  explicit ChangesetReader(std::string_view xml) : reader_(xml) {}
+
+  /// Reads the next changeset in file order. Returns false at the end of
+  /// the document, an error status at the first malformed input.
+  Result<bool> Next(Changeset* changeset);
+  Result<bool> Next(ChangesetCentre* centre);
+
   static Status Parse(std::string_view xml, const Callback& cb);
   static Result<std::vector<Changeset>> ParseAll(std::string_view xml);
+
+ private:
+  template <typename Out>
+  Result<bool> NextChangeset(Out* out);
+
+  XmlReader reader_;
+  bool in_root_ = false;
+  bool done_ = false;
 };
 
 /// Writer emitting the same format.

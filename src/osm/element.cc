@@ -1,7 +1,6 @@
 #include "osm/element.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/str_util.h"
 
@@ -35,9 +34,19 @@ Result<OsmTimestamp> OsmTimestamp::Parse(std::string_view text) {
   }
   auto date = Date::Parse(text.substr(0, 10));
   if (!date.ok()) return date.status();
+  // The time is read as sscanf(hms, "%d:%d:%d") reads the 8 bytes after
+  // the 'T': up to their first NUL, ignoring whatever follows the seconds.
+  std::string_view hms = text.substr(11, 8);
+  hms = hms.substr(0, hms.find('\0'));
   int h = 0, m = 0, s = 0;
-  std::string hms(text.substr(11, 8));
-  if (std::sscanf(hms.c_str(), "%d:%d:%d", &h, &m, &s) != 3 || h < 0 ||
+  auto field = [&hms](int* out, bool colon_after) {
+    if (!ConsumeScanfInt(&hms, out)) return false;
+    if (!colon_after) return true;
+    if (hms.empty() || hms.front() != ':') return false;
+    hms.remove_prefix(1);
+    return true;
+  };
+  if (!field(&h, true) || !field(&m, true) || !field(&s, false) || h < 0 ||
       h > 23 || m < 0 || m > 59 || s < 0 || s > 60) {
     return Status::InvalidArgument("bad OSM time '" + std::string(text) + "'");
   }
@@ -70,6 +79,44 @@ bool Element::GeometryDiffers(const Element& a, const Element& b) {
       return a.node_refs != b.node_refs;
     case ElementType::kRelation:
       return !(a.members == b.members);
+  }
+  return false;
+}
+
+void ElementVersion::Clear() {
+  type = ElementType::kNode;
+  id = 0;
+  version = 1;
+  timestamp = OsmTimestamp();
+  changeset = 0;
+  visible = true;
+  lat = 0.0;
+  lon = 0.0;
+  has_highway = false;
+  highway.clear();
+  node_refs.clear();
+  members.clear();
+  roles.clear();
+}
+
+bool ElementVersion::GeometryDiffers(const ElementVersion& a,
+                                     const ElementVersion& b) {
+  if (a.type != b.type) return true;
+  switch (a.type) {
+    case ElementType::kNode:
+      return a.lat != b.lat || a.lon != b.lon;
+    case ElementType::kWay:
+      return a.node_refs != b.node_refs;
+    case ElementType::kRelation:
+      if (a.members.size() != b.members.size()) return true;
+      for (size_t i = 0; i < a.members.size(); ++i) {
+        const Member& x = a.members[i];
+        const Member& y = b.members[i];
+        if (x.type != y.type || x.ref != y.ref || a.role(x) != b.role(y)) {
+          return true;
+        }
+      }
+      return false;
   }
   return false;
 }

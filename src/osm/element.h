@@ -106,6 +106,51 @@ struct Element {
   static bool TagsDiffer(const Element& a, const Element& b);
 };
 
+/// The fields of one element version that the crawlers read: version
+/// metadata, node coordinates, the first highway=* value, and the way
+/// nodes and relation members that GeometryDiffers compares. Readers fill
+/// a caller-owned record in place, so a crawl that reuses one (or swaps
+/// two) allocates nothing once its buffers have grown.
+struct ElementVersion {
+  struct Member {
+    ElementType type = ElementType::kNode;
+    int64_t ref = 0;
+    uint32_t role_offset = 0;  // into `roles`
+    uint32_t role_size = 0;
+  };
+
+  ElementType type = ElementType::kNode;
+  int64_t id = 0;
+  int32_t version = 1;
+  OsmTimestamp timestamp;
+  uint64_t changeset = 0;
+  /// False marks a deletion version in full-history files.
+  bool visible = true;
+  double lat = 0.0;  // nodes
+  double lon = 0.0;
+  bool has_highway = false;
+  std::string highway;             // valid when has_highway
+  std::vector<int64_t> node_refs;  // ways
+  std::vector<Member> members;     // relations
+  std::string roles;               // member roles, back to back
+
+  /// Empties the record for the next version, keeping its buffers.
+  void Clear();
+
+  /// The highway=* value, or nullptr when the version has none.
+  const std::string* FindHighway() const {
+    return has_highway ? &highway : nullptr;
+  }
+
+  std::string_view role(const Member& m) const {
+    return std::string_view(roles).substr(m.role_offset, m.role_size);
+  }
+
+  /// Element::GeometryDiffers on the fields kept here.
+  static bool GeometryDiffers(const ElementVersion& a,
+                              const ElementVersion& b);
+};
+
 }  // namespace rased
 
 #endif  // RASED_OSM_ELEMENT_H_

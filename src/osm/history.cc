@@ -1,35 +1,57 @@
 #include "osm/history.h"
 
 #include "osm/element_xml.h"
-#include "xml/xml_reader.h"
 
 namespace rased {
 
-Status HistoryReader::Parse(std::string_view xml, const Callback& cb) {
-  XmlReader reader(xml);
-  for (;;) {
-    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader.Next());
-    if (ev == XmlEvent::kEof) return Status::OK();
-    if (ev == XmlEvent::kStartElement) break;
+template <typename Out>
+Result<bool> HistoryReader::NextVersion(Out* out) {
+  while (!done_ && !in_root_) {
+    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+    if (ev == XmlEvent::kEof) {
+      done_ = true;
+    } else if (ev == XmlEvent::kStartElement) {
+      if (reader_.name() != "osm") {
+        return Status::Corruption("expected <osm> root, got <" +
+                                  std::string(reader_.name()) + ">");
+      }
+      in_root_ = true;
+    }
   }
-  if (reader.name() != "osm") {
-    return Status::Corruption("expected <osm> root, got <" + reader.name() +
-                              ">");
-  }
-  for (;;) {
-    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader.Next());
-    if (ev == XmlEvent::kEndElement || ev == XmlEvent::kEof) break;
+  while (!done_) {
+    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+    if (ev == XmlEvent::kEndElement || ev == XmlEvent::kEof) {
+      done_ = true;
+      break;
+    }
     if (ev != XmlEvent::kStartElement) continue;
-    const std::string& name = reader.name();
+    std::string_view name = reader_.name();
     if (name != "node" && name != "way" && name != "relation") {
-      RASED_RETURN_IF_ERROR(reader.SkipElement());
+      RASED_RETURN_IF_ERROR(reader_.SkipElement());
       continue;
     }
-    Element element;
-    RASED_RETURN_IF_ERROR(internal_osm::ParseElement(reader, &element));
+    RASED_RETURN_IF_ERROR(internal_osm::ParseElement(reader_, out));
+    return true;
+  }
+  return false;
+}
+
+Result<bool> HistoryReader::Next(Element* element) {
+  return NextVersion(element);
+}
+
+Result<bool> HistoryReader::Next(ElementVersion* version) {
+  return NextVersion(version);
+}
+
+Status HistoryReader::Parse(std::string_view xml, const Callback& cb) {
+  HistoryReader reader(xml);
+  Element element;
+  for (;;) {
+    RASED_ASSIGN_OR_RETURN(bool more, reader.Next(&element));
+    if (!more) return Status::OK();
     RASED_RETURN_IF_ERROR(cb(element));
   }
-  return Status::OK();
 }
 
 Result<std::vector<Element>> HistoryReader::ParseAll(std::string_view xml) {

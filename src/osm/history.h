@@ -8,6 +8,7 @@
 
 #include "osm/element.h"
 #include "util/result.h"
+#include "xml/xml_reader.h"
 #include "xml/xml_writer.h"
 
 namespace rased {
@@ -17,12 +18,32 @@ namespace rased {
 /// visible="false" marking deletion versions. Versions of one element are
 /// stored consecutively in ascending version order, which is what the
 /// monthly crawler relies on to compare consecutive versions.
+///
+/// An instance pulls one version at a time into a caller-owned record,
+/// either the owned Element or the crawler's ElementVersion, through the
+/// same parse. The static helpers stream owned elements.
 class HistoryReader {
  public:
   using Callback = std::function<Status(const Element&)>;
 
+  /// Borrows `xml`, which must outlive the reader.
+  explicit HistoryReader(std::string_view xml) : reader_(xml) {}
+
+  /// Reads the next element version in file order. Returns false at the
+  /// end of the document, an error status at the first malformed input.
+  Result<bool> Next(Element* element);
+  Result<bool> Next(ElementVersion* version);
+
   static Status Parse(std::string_view xml, const Callback& cb);
   static Result<std::vector<Element>> ParseAll(std::string_view xml);
+
+ private:
+  template <typename Out>
+  Result<bool> NextVersion(Out* out);
+
+  XmlReader reader_;
+  bool in_root_ = false;
+  bool done_ = false;
 };
 
 /// Writer emitting full-history documents in the same layout.

@@ -2,7 +2,6 @@
 
 #include "osm/element_xml.h"
 #include "util/str_util.h"
-#include "xml/xml_reader.h"
 
 namespace rased {
 
@@ -30,43 +29,73 @@ Result<ChangeAction> ParseChangeAction(std::string_view name) {
 
 }  // namespace
 
-Status OscReader::Parse(std::string_view xml, const Callback& cb) {
-  XmlReader reader(xml);
-
-  // Expect the <osmChange> root.
+template <typename Out>
+Result<bool> OscReader::NextChange(ChangeAction* action, Out* out) {
   for (;;) {
-    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader.Next());
-    if (ev == XmlEvent::kEof) return Status::OK();  // empty document
-    if (ev == XmlEvent::kStartElement) break;
-  }
-  if (reader.name() != "osmChange") {
-    return Status::Corruption("expected <osmChange> root, got <" +
-                              reader.name() + ">");
-  }
-
-  // Walk <create>/<modify>/<delete> blocks.
-  for (;;) {
-    RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader.Next());
-    if (ev == XmlEvent::kEndElement || ev == XmlEvent::kEof) break;
-    if (ev != XmlEvent::kStartElement) continue;
-    RASED_ASSIGN_OR_RETURN(ChangeAction action,
-                           ParseChangeAction(reader.name()));
-    // Elements inside the block.
-    for (;;) {
-      RASED_ASSIGN_OR_RETURN(XmlEvent block_ev, reader.Next());
-      if (block_ev == XmlEvent::kEndElement) break;
-      if (block_ev == XmlEvent::kEof) {
-        return Status::Corruption("EOF inside osmChange block");
+    switch (state_) {
+      case State::kRoot: {
+        // Expect the <osmChange> root; an empty document has no changes.
+        RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+        if (ev == XmlEvent::kEof) {
+          state_ = State::kDone;
+        } else if (ev == XmlEvent::kStartElement) {
+          if (reader_.name() != "osmChange") {
+            return Status::Corruption("expected <osmChange> root, got <" +
+                                      std::string(reader_.name()) + ">");
+          }
+          state_ = State::kBlocks;
+        }
+        break;
       }
-      if (block_ev != XmlEvent::kStartElement) continue;
-      OsmChange change;
-      change.action = action;
-      RASED_RETURN_IF_ERROR(
-          internal_osm::ParseElement(reader, &change.element));
-      RASED_RETURN_IF_ERROR(cb(change));
+      case State::kBlocks: {
+        // Walk <create>/<modify>/<delete> blocks.
+        RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+        if (ev == XmlEvent::kEndElement || ev == XmlEvent::kEof) {
+          state_ = State::kDone;
+        } else if (ev == XmlEvent::kStartElement) {
+          RASED_ASSIGN_OR_RETURN(block_action_,
+                                 ParseChangeAction(reader_.name()));
+          state_ = State::kInBlock;
+        }
+        break;
+      }
+      case State::kInBlock: {
+        // Elements inside the block.
+        RASED_ASSIGN_OR_RETURN(XmlEvent ev, reader_.Next());
+        if (ev == XmlEvent::kEndElement) {
+          state_ = State::kBlocks;
+        } else if (ev == XmlEvent::kEof) {
+          return Status::Corruption("EOF inside osmChange block");
+        } else if (ev == XmlEvent::kStartElement) {
+          *action = block_action_;
+          RASED_RETURN_IF_ERROR(internal_osm::ParseElement(reader_, out));
+          return true;
+        }
+        break;
+      }
+      case State::kDone:
+        return false;
     }
   }
-  return Status::OK();
+}
+
+Result<bool> OscReader::Next(ChangeAction* action, Element* element) {
+  return NextChange(action, element);
+}
+
+Result<bool> OscReader::Next(ChangeAction* action, ElementVersion* version) {
+  return NextChange(action, version);
+}
+
+Status OscReader::Parse(std::string_view xml, const Callback& cb) {
+  OscReader reader(xml);
+  OsmChange change;
+  for (;;) {
+    RASED_ASSIGN_OR_RETURN(bool more,
+                           reader.Next(&change.action, &change.element));
+    if (!more) return Status::OK();
+    RASED_RETURN_IF_ERROR(cb(change));
+  }
 }
 
 Result<std::vector<OsmChange>> OscReader::ParseAll(std::string_view xml) {

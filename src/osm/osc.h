@@ -8,6 +8,7 @@
 
 #include "osm/element.h"
 #include "util/result.h"
+#include "xml/xml_reader.h"
 #include "xml/xml_writer.h"
 
 namespace rased {
@@ -26,9 +27,21 @@ struct OsmChange {
 
 /// Parser for OSM osmChange diff files, the format of the minutely/hourly/
 /// daily replication diffs RASED's daily crawler consumes.
+///
+/// An instance pulls one change at a time into a caller-owned record:
+/// Next() fills either the owned Element or the crawler's ElementVersion,
+/// through the same parse. The static helpers stream owned changes.
 class OscReader {
  public:
   using Callback = std::function<Status(const OsmChange&)>;
+
+  /// Borrows `xml`, which must outlive the reader.
+  explicit OscReader(std::string_view xml) : reader_(xml) {}
+
+  /// Reads the next change in file order. Returns false at the end of the
+  /// document, an error status at the first malformed input.
+  Result<bool> Next(ChangeAction* action, Element* element);
+  Result<bool> Next(ChangeAction* action, ElementVersion* version);
 
   /// Streams every change to `cb` in file order. Parsing stops at the
   /// first error or non-OK callback status.
@@ -36,6 +49,15 @@ class OscReader {
 
   /// Convenience: collects all changes into a vector.
   static Result<std::vector<OsmChange>> ParseAll(std::string_view xml);
+
+ private:
+  template <typename Out>
+  Result<bool> NextChange(ChangeAction* action, Out* out);
+
+  XmlReader reader_;
+  enum class State { kRoot, kBlocks, kInBlock, kDone };
+  State state_ = State::kRoot;
+  ChangeAction block_action_ = ChangeAction::kCreate;
 };
 
 /// Incremental writer producing an osmChange document. Changes may be

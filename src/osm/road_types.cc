@@ -49,7 +49,7 @@ RoadTypeTable::RoadTypeTable(size_t capacity) : capacity_(capacity) {
 RoadTypeId RoadTypeTable::Intern(std::string_view highway_value) {
   if (highway_value.empty()) return kRoadTypeNone;
   MutexLock lock(&mu_);
-  auto it = index_.find(std::string(highway_value));
+  auto it = index_.find(highway_value);
   if (it != index_.end()) return it->second;
   if (names_.size() < capacity_) {
     RoadTypeId id = static_cast<RoadTypeId>(names_.size());
@@ -63,7 +63,7 @@ RoadTypeId RoadTypeTable::Intern(std::string_view highway_value) {
 RoadTypeId RoadTypeTable::Lookup(std::string_view highway_value) const {
   if (highway_value.empty()) return kRoadTypeNone;
   MutexLock lock(&mu_);
-  auto it = index_.find(std::string(highway_value));
+  auto it = index_.find(highway_value);
   return it != index_.end() ? it->second : other_id_;
 }
 

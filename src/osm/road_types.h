@@ -2,6 +2,7 @@
 #define RASED_OSM_ROAD_TYPES_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -65,7 +66,16 @@ class RoadTypeTable {
   /// Guards the growing name table; held only for map/vector surgery.
   mutable Mutex mu_;
   std::vector<std::string> names_ RASED_GUARDED_BY(mu_);
-  std::unordered_map<std::string, RoadTypeId> index_ RASED_GUARDED_BY(mu_);
+  /// Hashes std::string and std::string_view alike, so lookups by view
+  /// build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>()(name);
+    }
+  };
+  std::unordered_map<std::string, RoadTypeId, NameHash, std::equal_to<>>
+      index_ RASED_GUARDED_BY(mu_);
   RoadTypeId other_id_ RASED_CONST_AFTER_INIT;  // fixed in the constructor
 };
 

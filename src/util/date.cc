@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/logging.h"
+#include "util/str_util.h"
 
 namespace rased {
 
@@ -59,16 +60,26 @@ Date Date::FromYmd(int year, int month, int day) {
 }
 
 Result<Date> Date::Parse(std::string_view text) {
+  // Accepts what sscanf(text, "%d-%d-%d%c") read as exactly three fields:
+  // leading whitespace and signs are tolerated, trailing junk is not, and
+  // the text ends at its first NUL. Below 8 bytes is too short for a date.
+  std::string_view rest = text.substr(0, text.find('\0'));
   int y = 0, m = 0, d = 0;
-  char tail = '\0';
-  // Require exactly "YYYY-MM-DD"; %c tail detects trailing junk.
-  std::string buf(text);
-  int n = std::sscanf(buf.c_str(), "%d-%d-%d%c", &y, &m, &d, &tail);
-  if (n != 3 || buf.size() < 8) {
-    return Status::InvalidArgument("expected YYYY-MM-DD, got '" + buf + "'");
+  auto field = [&rest](int* out, bool dash_after) {
+    if (!ConsumeScanfInt(&rest, out)) return false;
+    if (!dash_after) return true;
+    if (rest.empty() || rest.front() != '-') return false;
+    rest.remove_prefix(1);
+    return true;
+  };
+  if (!field(&y, true) || !field(&m, true) || !field(&d, false) ||
+      !rest.empty() || text.size() < 8) {
+    return Status::InvalidArgument("expected YYYY-MM-DD, got '" +
+                                   std::string(text) + "'");
   }
   if (m < 1 || m > 12 || d < 1 || d > DaysInMonthOf(y, m)) {
-    return Status::InvalidArgument("invalid calendar date '" + buf + "'");
+    return Status::InvalidArgument("invalid calendar date '" +
+                                   std::string(text) + "'");
   }
   return Date(DaysFromCivil(y, m, d));
 }

@@ -29,6 +29,13 @@ Result<int64_t> ParseInt(std::string_view text);
 Result<uint64_t> ParseUint(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 
+/// Consumes one integer from the front of `*text` exactly as scanf's "%d"
+/// reads it: leading whitespace, an optional sign, then decimal digits; a
+/// value beyond long's range saturates and is then truncated to int.
+/// Returns false when no digit follows, leaving `*text` as it was. Stop
+/// `*text` at its first NUL to read it as the C string scanf would see.
+bool ConsumeScanfInt(std::string_view* text, int* out);
+
 /// Thousands-separated rendering of a count, e.g. 9142858 -> "9,142,858"
 /// (used by the dashboard table renderer to match the paper's Fig. 3).
 std::string WithThousandsSep(uint64_t value);

@@ -1,6 +1,8 @@
 #include "xml/xml_reader.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "util/str_util.h"
 
@@ -8,18 +10,35 @@ namespace rased {
 
 namespace {
 
-bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
+// Character classes of the "C" locale, one table lookup each, plus the
+// two bytes an attribute value is checked for.
+enum : uint8_t { kSpace = 1, kNameStart = 2, kNameChar = 4, kLtOrAmp = 8 };
 
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         c == '-' || c == '.';
+struct CharClasses {
+  uint8_t of[256] = {};
+  constexpr CharClasses() {
+    for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+      of[static_cast<unsigned char>(c)] = kSpace;
+    }
+    for (int c = 0; c < 256; ++c) {
+      bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+      bool digit = c >= '0' && c <= '9';
+      if (alpha || c == '_' || c == ':') of[c] |= kNameStart | kNameChar;
+      if (digit || c == '-' || c == '.') of[c] |= kNameChar;
+    }
+    of[static_cast<unsigned char>('<')] |= kLtOrAmp;
+    of[static_cast<unsigned char>('&')] |= kLtOrAmp;
+  }
+};
+constexpr CharClasses kClasses;
+
+bool Is(char c, uint8_t cls) {
+  return (kClasses.of[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
 bool IsAllWhitespace(std::string_view s) {
   for (char c : s) {
-    if (!std::isspace(static_cast<unsigned char>(c))) return false;
+    if (!Is(c, kSpace)) return false;
   }
   return true;
 }
@@ -28,75 +47,74 @@ bool IsAllWhitespace(std::string_view s) {
 
 XmlReader::XmlReader(std::string_view input) : input_(input) {}
 
-Status XmlReader::ParseError(const std::string& what) const {
-  return Status::Corruption(StrFormat("XML parse error at line %d: %s", line_,
-                                      what.c_str()));
+int XmlReader::line() const {
+  return 1 + static_cast<int>(std::count(
+                 input_.begin(), input_.begin() + static_cast<ptrdiff_t>(pos_),
+                 '\n'));
 }
 
-void XmlReader::Advance() {
-  if (pos_ < input_.size()) {
-    if (input_[pos_] == '\n') ++line_;
-    ++pos_;
-  }
+Status XmlReader::ParseError(std::string_view what) const {
+  return Status::Corruption(StrFormat("XML parse error at line %d: %.*s",
+                                      line(), static_cast<int>(what.size()),
+                                      what.data()));
 }
 
 void XmlReader::SkipWhitespace() {
-  while (pos_ < input_.size() &&
-         std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-    Advance();
-  }
+  while (pos_ < input_.size() && Is(input_[pos_], kSpace)) ++pos_;
 }
 
 bool XmlReader::ConsumePrefix(std::string_view prefix) {
   if (input_.substr(pos_, prefix.size()) != prefix) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) Advance();
+  pos_ += prefix.size();
   return true;
 }
 
 Status XmlReader::SkipUntil(std::string_view terminator) {
-  while (pos_ < input_.size()) {
-    if (input_.substr(pos_, terminator.size()) == terminator) {
-      for (size_t i = 0; i < terminator.size(); ++i) Advance();
-      return Status::OK();
-    }
-    Advance();
+  size_t at = input_.find(terminator, pos_);
+  if (at == std::string_view::npos) {
+    pos_ = input_.size();
+    return ParseError("unexpected end of input while scanning for '" +
+                      std::string(terminator) + "'");
   }
-  return ParseError("unexpected end of input while scanning for '" +
-                    std::string(terminator) + "'");
+  pos_ = at + terminator.size();
+  return Status::OK();
 }
 
-Result<std::string> XmlReader::ParseName() {
-  if (pos_ >= input_.size() || !IsNameStart(input_[pos_])) {
+Status XmlReader::ParseName(std::string_view* out) {
+  if (pos_ >= input_.size() || !Is(input_[pos_], kNameStart)) {
     return ParseError("expected name");
   }
-  size_t start = pos_;
-  while (pos_ < input_.size() && IsNameChar(input_[pos_])) Advance();
-  return std::string(input_.substr(start, pos_ - start));
+  size_t start = pos_++;
+  while (pos_ < input_.size() && Is(input_[pos_], kNameChar)) ++pos_;
+  *out = input_.substr(start, pos_ - start);
+  return Status::OK();
 }
 
-Status XmlReader::DecodeEntities(std::string_view raw, std::string* out) {
-  out->clear();
-  out->reserve(raw.size());
+Status XmlReader::DecodeEntities(std::string_view raw) {
   for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] != '&') {
-      out->push_back(raw[i]);
-      continue;
-    }
+    const void* amp = std::memchr(raw.data() + i, '&', raw.size() - i);
+    size_t at = amp == nullptr
+                    ? raw.size()
+                    : static_cast<size_t>(static_cast<const char*>(amp) -
+                                          raw.data());
+    scratch_.append(raw.data() + i, at - i);
+    if (at == raw.size()) break;
+    i = at;
     size_t semi = raw.find(';', i + 1);
     if (semi == std::string_view::npos) {
       return ParseError("unterminated entity reference");
     }
     std::string_view ent = raw.substr(i + 1, semi - i - 1);
     if (ent == "amp") {
-      out->push_back('&');
+      scratch_.push_back('&');
     } else if (ent == "lt") {
-      out->push_back('<');
+      scratch_.push_back('<');
     } else if (ent == "gt") {
-      out->push_back('>');
+      scratch_.push_back('>');
     } else if (ent == "quot") {
-      out->push_back('"');
+      scratch_.push_back('"');
     } else if (ent == "apos") {
-      out->push_back('\'');
+      scratch_.push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
       // Numeric character reference; emit UTF-8.
       uint32_t cp = 0;
@@ -119,19 +137,19 @@ Status XmlReader::DecodeEntities(std::string_view raw, std::string* out) {
         if (cp > 0x10FFFF) return ParseError("character reference out of range");
       }
       if (cp < 0x80) {
-        out->push_back(static_cast<char>(cp));
+        scratch_.push_back(static_cast<char>(cp));
       } else if (cp < 0x800) {
-        out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        scratch_.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+        scratch_.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
       } else if (cp < 0x10000) {
-        out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        scratch_.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+        scratch_.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+        scratch_.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
       } else {
-        out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        scratch_.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+        scratch_.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+        scratch_.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+        scratch_.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
       }
     } else {
       return ParseError("unknown entity '&" + std::string(ent) + ";'");
@@ -143,115 +161,147 @@ Status XmlReader::DecodeEntities(std::string_view raw, std::string* out) {
 
 Status XmlReader::ParseAttributes(bool* self_closing) {
   attrs_.clear();
+  decoded_.clear();
+  scratch_.clear();
   *self_closing = false;
   for (;;) {
     SkipWhitespace();
     if (pos_ >= input_.size()) return ParseError("unterminated start tag");
     char c = input_[pos_];
     if (c == '>') {
-      Advance();
-      return Status::OK();
+      ++pos_;
+      break;
     }
     if (c == '/') {
-      Advance();
+      ++pos_;
       if (Peek() != '>') return ParseError("expected '>' after '/'");
-      Advance();
+      ++pos_;
       *self_closing = true;
-      return Status::OK();
+      break;
     }
-    auto name = ParseName();
-    if (!name.ok()) return name.status();
+    std::string_view name;
+    RASED_RETURN_IF_ERROR(ParseName(&name));
     SkipWhitespace();
     if (Peek() != '=') return ParseError("expected '=' after attribute name");
-    Advance();
+    ++pos_;
     SkipWhitespace();
     char quote = Peek();
     if (quote != '"' && quote != '\'') {
       return ParseError("expected quoted attribute value");
     }
-    Advance();
-    size_t start = pos_;
-    while (pos_ < input_.size() && input_[pos_] != quote) {
-      if (input_[pos_] == '<') return ParseError("'<' in attribute value");
-      Advance();
+    size_t start = ++pos_;
+    std::string_view rest = input_.substr(start);
+    const void* close = std::memchr(rest.data(), quote, rest.size());
+    std::string_view raw =
+        close == nullptr
+            ? rest
+            : rest.substr(0, static_cast<size_t>(
+                                 static_cast<const char*>(close) - rest.data()));
+    // One pass finds both the first '<' (an error) and whether any '&'
+    // needs decoding.
+    bool has_entity = false;
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (!Is(raw[i], kLtOrAmp)) continue;
+      if (raw[i] == '&') {
+        has_entity = true;
+        continue;
+      }
+      pos_ = start + i;
+      return ParseError("'<' in attribute value");
     }
-    if (pos_ >= input_.size()) return ParseError("unterminated attribute value");
-    std::string_view raw = input_.substr(start, pos_ - start);
-    Advance();  // closing quote
-    XmlAttr attr;
-    attr.name = std::move(name).value();
-    RASED_RETURN_IF_ERROR(DecodeEntities(raw, &attr.value));
-    attrs_.push_back(std::move(attr));
+    pos_ = start + raw.size();
+    if (close == nullptr) return ParseError("unterminated attribute value");
+    ++pos_;  // closing quote
+    if (has_entity) {
+      size_t offset = scratch_.size();
+      RASED_RETURN_IF_ERROR(DecodeEntities(raw));
+      decoded_.push_back({attrs_.size(), offset, scratch_.size() - offset});
+      raw = {};
+    }
+    attrs_.push_back(XmlAttr{name, raw});
   }
+  // scratch_ has stopped growing: point decoded values into it.
+  for (const DecodedSpan& d : decoded_) {
+    attrs_[d.attr].value = std::string_view(scratch_).substr(d.offset, d.size);
+  }
+  return Status::OK();
 }
 
 Result<XmlEvent> XmlReader::Next() {
   if (pending_end_) {
     pending_end_ = false;
-    --depth_;
     name_ = open_elements_.back();
     open_elements_.pop_back();
     return XmlEvent::kEndElement;
   }
   for (;;) {
     if (pos_ >= input_.size()) {
-      at_eof_ = true;
-      if (depth_ != 0) return ParseError("unexpected end of input");
+      if (!open_elements_.empty()) return ParseError("unexpected end of input");
       return XmlEvent::kEof;
     }
     if (input_[pos_] != '<') {
       // Character data up to the next '<'.
       size_t start = pos_;
-      while (pos_ < input_.size() && input_[pos_] != '<') Advance();
+      std::string_view rest = input_.substr(start);
+      const void* lt = std::memchr(rest.data(), '<', rest.size());
+      pos_ = lt == nullptr ? input_.size()
+                           : start + static_cast<size_t>(
+                                         static_cast<const char*>(lt) -
+                                         rest.data());
       std::string_view raw = input_.substr(start, pos_ - start);
       if (IsAllWhitespace(raw)) continue;  // ignorable whitespace
-      RASED_RETURN_IF_ERROR(DecodeEntities(raw, &text_));
+      text_ = raw;
+      if (std::memchr(raw.data(), '&', raw.size()) != nullptr) {
+        scratch_.clear();
+        RASED_RETURN_IF_ERROR(DecodeEntities(raw));
+        text_ = scratch_;
+      }
       return XmlEvent::kText;
     }
-    // Some markup.
-    if (ConsumePrefix("<!--")) {
-      RASED_RETURN_IF_ERROR(SkipUntil("-->"));
+    // Some markup; its second byte tells which.
+    const char kind = pos_ + 1 < input_.size() ? input_[pos_ + 1] : '\0';
+    if (kind == '!' || kind == '?') {
+      if (ConsumePrefix("<!--")) {
+        RASED_RETURN_IF_ERROR(SkipUntil("-->"));
+      } else if (ConsumePrefix("<?")) {
+        RASED_RETURN_IF_ERROR(SkipUntil("?>"));
+      } else {  // DOCTYPE etc.; no internal-subset support
+        pos_ += 2;
+        RASED_RETURN_IF_ERROR(SkipUntil(">"));
+      }
       continue;
     }
-    if (ConsumePrefix("<?")) {
-      RASED_RETURN_IF_ERROR(SkipUntil("?>"));
-      continue;
-    }
-    if (ConsumePrefix("<!")) {  // DOCTYPE etc.; no internal-subset support
-      RASED_RETURN_IF_ERROR(SkipUntil(">"));
-      continue;
-    }
-    if (ConsumePrefix("</")) {
-      auto name = ParseName();
-      if (!name.ok()) return name.status();
+    if (kind == '/') {
+      pos_ += 2;
+      std::string_view name;
+      RASED_RETURN_IF_ERROR(ParseName(&name));
       SkipWhitespace();
       if (Peek() != '>') return ParseError("malformed end tag");
-      Advance();
-      if (depth_ == 0) return ParseError("end tag without matching start");
-      if (open_elements_.back() != name.value()) {
-        return ParseError("mismatched end tag </" + name.value() +
-                          ">, expected </" + open_elements_.back() + ">");
+      ++pos_;
+      if (open_elements_.empty()) {
+        return ParseError("end tag without matching start");
+      }
+      if (open_elements_.back() != name) {
+        return ParseError("mismatched end tag </" + std::string(name) +
+                          ">, expected </" +
+                          std::string(open_elements_.back()) + ">");
       }
       open_elements_.pop_back();
-      --depth_;
-      name_ = std::move(name).value();
+      name_ = name;
       return XmlEvent::kEndElement;
     }
     // Start tag.
-    Advance();  // '<'
-    auto name = ParseName();
-    if (!name.ok()) return name.status();
-    name_ = std::move(name).value();
+    ++pos_;  // '<'
+    RASED_RETURN_IF_ERROR(ParseName(&name_));
     bool self_closing = false;
     RASED_RETURN_IF_ERROR(ParseAttributes(&self_closing));
-    ++depth_;
     open_elements_.push_back(name_);
     pending_end_ = self_closing;
     return XmlEvent::kStartElement;
   }
 }
 
-const std::string* XmlReader::FindAttr(std::string_view attr_name) const {
+const std::string_view* XmlReader::FindAttr(std::string_view attr_name) const {
   for (const XmlAttr& a : attrs_) {
     if (a.name == attr_name) return &a.value;
   }
@@ -261,17 +311,13 @@ const std::string* XmlReader::FindAttr(std::string_view attr_name) const {
 Status XmlReader::SkipElement() {
   if (pending_end_) {
     pending_end_ = false;
-    --depth_;
     open_elements_.pop_back();
     return Status::OK();
   }
-  int target = depth_ - 1;
-  while (depth_ > target) {
-    auto ev = Next();
-    if (!ev.ok()) return ev.status();
-    if (ev.value() == XmlEvent::kEof) {
-      return ParseError("EOF inside element");
-    }
+  const ptrdiff_t target = static_cast<ptrdiff_t>(open_elements_.size()) - 1;
+  while (static_cast<ptrdiff_t>(open_elements_.size()) > target) {
+    RASED_ASSIGN_OR_RETURN(XmlEvent ev, Next());
+    if (ev == XmlEvent::kEof) return ParseError("EOF inside element");
   }
   return Status::OK();
 }

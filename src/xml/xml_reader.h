@@ -1,6 +1,7 @@
 #ifndef RASED_XML_XML_READER_H_
 #define RASED_XML_XML_READER_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,10 +11,11 @@
 
 namespace rased {
 
-/// One element attribute. Values are entity-decoded.
+/// One element attribute. Both views are valid until the next call to
+/// XmlReader::Next() or SkipElement(); the value is entity-decoded.
 struct XmlAttr {
-  std::string name;
-  std::string value;
+  std::string_view name;
+  std::string_view value;
 };
 
 /// Pull-parser events produced by XmlReader::Next().
@@ -35,28 +37,38 @@ enum class XmlEvent {
 /// immediately by a synthetic kEndElement, so client code can treat both
 /// element forms uniformly.
 ///
-/// The reader borrows the input buffer; it must outlive the reader.
+/// Zero-copy: names, attribute values and text are views into the input.
+/// Only a value or text that contains '&' is decoded, into a scratch
+/// buffer the reader owns and reuses. Every view stays valid until the
+/// next Next()/SkipElement(). The reader borrows the input buffer; it must
+/// outlive the reader and every view taken from it.
 class XmlReader {
  public:
   explicit XmlReader(std::string_view input);
+
+  // Decoded views point into the reader's own buffer, so a copy or a move
+  // would leave them pointing at the original.
+  XmlReader(const XmlReader&) = delete;
+  XmlReader& operator=(const XmlReader&) = delete;
 
   /// Advances to the next event. After kEof, keeps returning kEof.
   Result<XmlEvent> Next();
 
   /// Element name for the current kStartElement/kEndElement event.
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_; }
 
   /// Attributes of the current kStartElement event.
   const std::vector<XmlAttr>& attributes() const { return attrs_; }
 
   /// Entity-decoded character data for the current kText event.
-  const std::string& text() const { return text_; }
+  std::string_view text() const { return text_; }
 
   /// Returns the value of the named attribute, or nullptr when absent.
-  const std::string* FindAttr(std::string_view attr_name) const;
+  const std::string_view* FindAttr(std::string_view attr_name) const;
 
   /// 1-based line of the current parse position (for error messages).
-  int line() const { return line_; }
+  /// Counted from the input on each call.
+  int line() const;
 
   /// Convenience: skips events until the matching kEndElement of the
   /// element whose kStartElement was just returned. No-op after a
@@ -64,27 +76,33 @@ class XmlReader {
   Status SkipElement();
 
  private:
-  Status ParseError(const std::string& what) const;
+  Status ParseError(std::string_view what) const;
   void SkipWhitespace();
   bool ConsumePrefix(std::string_view prefix);
   Status SkipUntil(std::string_view terminator);
-  Result<std::string> ParseName();
+  Status ParseName(std::string_view* out);
   Status ParseAttributes(bool* self_closing);
-  Status DecodeEntities(std::string_view raw, std::string* out);
+  /// Appends `raw` with its entities decoded to scratch_.
+  Status DecodeEntities(std::string_view raw);
   char Peek() const { return pos_ < input_.size() ? input_[pos_] : '\0'; }
-  void Advance();
 
   std::string_view input_;
   size_t pos_ = 0;
-  int line_ = 1;
 
-  std::string name_;
+  std::string_view name_;
   std::vector<XmlAttr> attrs_;
-  std::string text_;
+  std::string_view text_;
+  /// Decoded bytes of the current event; attrs_ entries listed in
+  /// decoded_ (index, offset, size) point into it once the tag is read.
+  std::string scratch_;
+  struct DecodedSpan {
+    size_t attr;
+    size_t offset;
+    size_t size;
+  };
+  std::vector<DecodedSpan> decoded_;
   bool pending_end_ = false;  // synthetic end for self-closing element
-  bool at_eof_ = false;
-  int depth_ = 0;
-  std::vector<std::string> open_elements_;  // for end-tag name checking
+  std::vector<std::string_view> open_elements_;  // for end-tag checking
 };
 
 }  // namespace rased

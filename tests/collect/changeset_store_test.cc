@@ -9,10 +9,16 @@ TEST(ChangesetStoreTest, AddAndFind) {
   ChangesetStore store;
   Changeset cs;
   cs.id = 42;
-  cs.user = "dan";
+  cs.has_bbox = true;
+  cs.min_lat = 10.0;
+  cs.max_lat = 11.0;
+  cs.min_lon = -4.0;
+  cs.max_lon = -2.0;
   store.Add(cs);
   ASSERT_NE(store.Find(42), nullptr);
-  EXPECT_EQ(store.Find(42)->user, "dan");
+  EXPECT_TRUE(store.Find(42)->has_bbox);
+  EXPECT_EQ(store.Find(42)->lat, cs.center_lat());
+  EXPECT_EQ(store.Find(42)->lon, cs.center_lon());
   EXPECT_EQ(store.Find(43), nullptr);
   EXPECT_EQ(store.size(), 1u);
 }
@@ -21,14 +27,15 @@ TEST(ChangesetStoreTest, ReplacesOnDuplicateId) {
   ChangesetStore store;
   Changeset a;
   a.id = 1;
-  a.num_changes = 5;
   store.Add(a);
   Changeset b;
   b.id = 1;
-  b.num_changes = 50;
+  b.has_bbox = true;
+  b.max_lat = 50.0;
   store.Add(b);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.Find(1)->num_changes, 50u);
+  ASSERT_TRUE(store.Find(1)->has_bbox);
+  EXPECT_EQ(store.Find(1)->lat, 25.0);
 }
 
 TEST(ChangesetStoreTest, AddFromXml) {
@@ -42,6 +49,8 @@ TEST(ChangesetStoreTest, AddFromXml) {
   EXPECT_EQ(store.size(), 2u);
   ASSERT_NE(store.Find(10), nullptr);
   EXPECT_TRUE(store.Find(10)->has_bbox);
+  EXPECT_EQ(store.Find(10)->lat, 2.0);
+  EXPECT_EQ(store.Find(10)->lon, 3.0);
   EXPECT_FALSE(store.Find(11)->has_bbox);
 }
 

@@ -67,17 +67,23 @@ std::string HeaderValue(const std::string& response, const std::string& name) {
   return end == std::string::npos ? "" : response.substr(start, end - start);
 }
 
+// Installs a FakeClock for the scope. The clock itself is never destroyed:
+// the suite's profiler reaper reads NowMicros() on its own thread and may
+// load the installed clock just before the scope uninstalls it.
 class ScopedFakeClock {
  public:
-  explicit ScopedFakeClock(int64_t start_micros) : clock_(start_micros) {
-    SetClockForTesting(&clock_);
+  explicit ScopedFakeClock(int64_t start_micros) {
+    static FakeClock* const clock = new FakeClock();
+    clock_ = clock;
+    clock_->Set(start_micros);
+    SetClockForTesting(clock_);
   }
   ~ScopedFakeClock() { SetClockForTesting(nullptr); }
 
-  FakeClock* clock() { return &clock_; }
+  FakeClock* clock() { return clock_; }
 
  private:
-  FakeClock clock_;
+  FakeClock* clock_;
 };
 
 class DashboardSelfstatsTest : public ::testing::Test {

@@ -15,13 +15,13 @@ std::string Trace(std::string_view xml) {
     if (!ev.ok()) return "ERROR:" + ev.status().ToString();
     switch (ev.value()) {
       case XmlEvent::kStartElement:
-        trace += "S:" + reader.name() + ";";
+        trace += "S:" + std::string(reader.name()) + ";";
         break;
       case XmlEvent::kEndElement:
-        trace += "E:" + reader.name() + ";";
+        trace += "E:" + std::string(reader.name()) + ";";
         break;
       case XmlEvent::kText:
-        trace += "T:" + reader.text() + ";";
+        trace += "T:" + std::string(reader.text()) + ";";
         break;
       case XmlEvent::kEof:
         trace += "$";
@@ -140,6 +140,55 @@ TEST(XmlReaderTest, LineNumbersAdvance) {
   auto ev = reader.Next();
   ASSERT_FALSE(ev.ok());
   EXPECT_NE(ev.status().ToString().find("line"), std::string::npos);
+}
+
+// Error text for the first failing event of `doc` ("" when it parses).
+std::string FirstError(const std::string& doc) {
+  XmlReader reader(doc);
+  for (;;) {
+    auto ev = reader.Next();
+    if (!ev.ok()) return ev.status().ToString();
+    if (ev.value() == XmlEvent::kEof) return "";
+  }
+}
+
+// A document of `rows` well-formed lines under an open <root> (line 1), so
+// the next line written is line rows + 2.
+std::string RowsUnderRoot(int rows) {
+  std::string doc = "<root>\n";
+  for (int i = 0; i < rows; ++i) doc += "  <r a=\"1\" b='x &amp; y'/>\n";
+  return doc;
+}
+
+TEST(XmlReaderTest, DeepErrorReportsItsLine) {
+  // The line is the one the reader stands on when it gives up: after the
+  // closing '>' of an end tag, after the closing quote of a value whose
+  // entity is bad, at the '<' that ends bad character data.
+  EXPECT_NE(FirstError(RowsUnderRoot(299) + "<x></y>\n</root>")
+                .find("line 301: mismatched end tag </y>, expected </x>"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(499) + "<r v=\"a\nb &bogus; c\"/>\n</root>")
+                .find("line 502: unknown entity '&bogus;'"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(99) + "<r v=\"a\n<b\"/>\n</root>")
+                .find("line 102: '<' in attribute value"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(9) + "\n\nx &nope; y\n\n</root>")
+                .find("line 15: unknown entity '&nope;'"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(41) + "< bad/>\n</root>")
+                .find("line 43: expected name"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(7) + "<!-- open\n\n")
+                .find("line 11: unexpected end of input while scanning for "
+                      "'-->'"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(3) + "<a b=\"1\"")
+                .find("line 5: unterminated start tag"),
+            std::string::npos);
+  EXPECT_NE(FirstError(RowsUnderRoot(3)).find("line 5: unexpected end of input"),
+            std::string::npos);
+  EXPECT_EQ(FirstError(RowsUnderRoot(3) + "</root>"), "");
 }
 
 TEST(XmlReaderTest, MixedQuotesAndWhitespaceInTags) {
