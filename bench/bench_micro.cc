@@ -1,17 +1,22 @@
 // Micro-benchmarks (google-benchmark) for RASED's hot primitives:
 // cube operations, record codec, the crawl path (changeset store, daily
-// diff and monthly history crawls at the paper rate), zone lookup, CRC,
-// and date arithmetic.
+// diff and monthly history crawls at the paper rate), the cache refresh
+// that follows each publication, zone lookup, CRC, and date arithmetic.
 
 #include <benchmark/benchmark.h>
 
+#include "cache/cube_cache.h"
 #include "collect/daily_crawler.h"
 #include "collect/monthly_crawler.h"
 #include "cube/data_cube.h"
 #include "geo/world_map.h"
+#include "index/cube_builder.h"
+#include "index/temporal_index.h"
 #include "io/crc32c.h"
+#include "io/env.h"
 #include "osm/osc.h"
 #include "synth/update_generator.h"
+#include "util/clock.h"
 #include "util/date.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -176,6 +181,94 @@ void BM_MonthlyCrawl(benchmark::State& state) {
   state.counters["records"] = static_cast<double>(records);
 }
 BENCHMARK(BM_MonthlyCrawl)->Unit(benchmark::kMillisecond);
+
+// The dashbench paper fixture's year (2020, paper-scale schema, 500
+// updates a day, seed 1) as a temporary index, built once per process,
+// with a recency cache warmed over it whose budget holds exactly that
+// year's entries.
+struct PaperYearCache {
+  PaperYearCache() : world(305), roads(150) {
+    TemporalIndexOptions options;
+    options.schema = CubeSchema::PaperScale();
+    options.dir = env::JoinPath(dir.path(), "index");
+    options.device = DeviceModel::None();
+    index = std::move(TemporalIndex::Create(options)).value();
+    SynthOptions synth;
+    synth.seed = 1;
+    synth.base_updates_per_day = 500.0;
+    synth.period = DateRange(Date::FromYmd(2020, 1, 1),
+                             Date::FromYmd(2020, 12, 31));
+    UpdateGenerator gen(synth, &world, &roads);
+    CubeBuilder builder(options.schema, &world);
+    for (Date d = synth.period.first; d <= synth.period.last; d = d.next()) {
+      SparseCube cube = builder.BuildSparseCube(gen.GenerateDayRecords(d));
+      RASED_CHECK(index->AppendDay(d, cube).ok());
+      if (d == Date::FromYmd(2020, 6, 15)) appended_day = std::move(cube);
+    }
+    next_day = synth.period.last.next();
+
+    CacheOptions cache_options;
+    cache_options.byte_budget = 0;
+    CatalogSnapshot snapshot = index->Snapshot();
+    for (int level = 0; level < kNumLevels; ++level) {
+      for (const CubeKey& key :
+           snapshot.LatestKeys(static_cast<Level>(level), SIZE_MAX)) {
+        cache_options.byte_budget += CubeCache::EntryBytes(
+            snapshot.LocOf(key)->blob_bytes - CubeBlobHeader::kBytes);
+      }
+    }
+    cache = std::make_unique<CubeCache>(cache_options);
+    RASED_CHECK(cache->Warm(index.get()).ok());
+  }
+
+  static PaperYearCache& Get() {
+    static PaperYearCache fixture;
+    return fixture;
+  }
+
+  TempDir dir{"bench-micro-cache"};
+  WorldMap world;
+  RoadTypeTable roads;
+  std::unique_ptr<TemporalIndex> index;
+  std::unique_ptr<CubeCache> cache;
+  SparseCube appended_day{CubeSchema::PaperScale()};
+  Date next_day;
+};
+
+// The cache refresh that follows each publication (CubeCache::Warm on a
+// warmed cache). Arg 0: nothing new was published, so it selects,
+// compares and reads nothing. Arg 1: one day was appended first (a copy
+// of 2020-06-15's cube, untimed, with its weekly/monthly rollups when it
+// closes one), so the refresh reads the new cubes and drops the oldest
+// days that no longer fit.
+void BM_CacheRefresh(benchmark::State& state) {
+  PaperYearCache& fixture = PaperYearCache::Get();
+  const uint64_t read_before = fixture.cache->stats().preloaded;
+  for (auto _ : state) {
+    if (state.range(0) == 1) {
+      RASED_CHECK(
+          fixture.index->AppendDay(fixture.next_day, fixture.appended_day)
+              .ok());
+      fixture.next_day = fixture.next_day.next();
+    }
+    const int64_t start = NowMicros();
+    Status s = fixture.cache->Warm(fixture.index.get());
+    const int64_t micros = NowMicros() - start;
+    benchmark::DoNotOptimize(s);
+    RASED_CHECK(s.ok());
+    state.SetIterationTime(static_cast<double>(micros) / 1e6);
+  }
+  state.counters["blobs_read"] = benchmark::Counter(
+      static_cast<double>(fixture.cache->stats().preloaded - read_before),
+      benchmark::Counter::kAvgIterations);
+  state.counters["resident"] = static_cast<double>(fixture.cache->size());
+}
+BENCHMARK(BM_CacheRefresh)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(300)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ZoneLookup(benchmark::State& state) {
   WorldMap world(305);

@@ -1,6 +1,5 @@
 #include "cache/cube_cache.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -63,32 +62,89 @@ CubeCache::CubeCache(const CacheOptions& options) : options_(options) {
   }
 }
 
-void CubeCache::Preload(const TemporalIndex* index,
-                        const CatalogSnapshot& snapshot, Level level,
-                        uint64_t max_bytes) {
-  if (max_bytes == 0) return;
-  // Selection first, purely from catalog metadata: walk the level newest to
-  // oldest (LatestKeys returns newest last) and take the contiguous prefix
-  // whose resident entries fit. Only the selected cubes are then read (and
-  // charged) — sizing never costs I/O.
+Status CubeCache::Warm(const TemporalIndex* index) {
+  // One snapshot for the whole pass: every entry it keeps or admits
+  // carries the page of the same published version, and maintenance
+  // concurrent with the pass neither blocks nor is blocked by it.
+  CatalogSnapshot snapshot = index->Snapshot();
+
+  // The recency selection, purely from catalog metadata: walk each level
+  // newest to oldest (LatestKeys returns newest last) and take the run
+  // whose resident entries (the blob's body) fit the level's byte share.
+  // It is every catalog key from the level's oldest selected start on.
   std::vector<CubeKey> keys;
   std::vector<CubeLoc> locs;
-  uint64_t selected_bytes = 0;
-  const std::vector<CubeKey> latest =
-      snapshot.LatestKeys(level, std::numeric_limits<size_t>::max());
-  for (auto kit = latest.rbegin(); kit != latest.rend(); ++kit) {
-    std::optional<CubeLoc> loc = snapshot.LocOf(*kit);
-    if (!loc.has_value()) continue;  // raced away; snapshot makes this moot
-    // The resident form (EncodedCubeBatch::Extract) is the blob's body.
-    const uint64_t bytes = EntryBytes(loc->blob_bytes - CubeBlobHeader::kBytes);
-    if (selected_bytes + bytes > max_bytes) break;
-    selected_bytes += bytes;
-    keys.push_back(*kit);
-    locs.push_back(*loc);
+  std::optional<Date> oldest[kNumLevels];
+  auto select = [&](Level level, uint64_t max_bytes) {
+    uint64_t selected_bytes = 0;
+    const std::vector<CubeKey> latest =
+        snapshot.LatestKeys(level, std::numeric_limits<size_t>::max());
+    for (auto kit = latest.rbegin(); kit != latest.rend(); ++kit) {
+      const CubeLoc loc = *snapshot.LocOf(*kit);
+      const uint64_t bytes = EntryBytes(loc.blob_bytes - CubeBlobHeader::kBytes);
+      if (selected_bytes + bytes > max_bytes) break;
+      selected_bytes += bytes;
+      keys.push_back(*kit);
+      locs.push_back(loc);
+      oldest[static_cast<int>(level)] = kit->start;
+    }
+    return selected_bytes;
+  };
+  // kRasedRecency splits the budget's bytes by (alpha, beta, gamma, theta);
+  // whatever the coarser levels do not select falls to daily, the level
+  // with the most nodes (kAllDaily gives daily all of it).
+  const uint64_t budget = options_.byte_budget;
+  uint64_t coarse = 0;
+  if (options_.policy == CachePolicy::kRasedRecency) {
+    const double b = static_cast<double>(budget);
+    coarse += select(Level::kWeekly,
+                     static_cast<uint64_t>(std::floor(options_.beta * b)));
+    coarse += select(Level::kMonthly,
+                     static_cast<uint64_t>(std::floor(options_.gamma * b)));
+    coarse += select(Level::kYearly,
+                     static_cast<uint64_t>(std::floor(options_.theta * b)));
+  }
+  if (!AdmitsOnQuery()) {
+    select(Level::kDaily, coarse < budget ? budget - coarse : 0);
   }
 
-  // Read the selection in batches of about kWarmBatchBytes of blobs, and
-  // admit each blob in its resident form.
+  // Compare and drop, before any read so the charge stays in budget: a
+  // selected key resident at its selected page keeps its entry; the keys
+  // to read compact to the front of keys/locs; every other entry goes.
+  // Under kLru, which queries fill, an entry stays while the catalog maps
+  // its key to its page; past a re-stage it would hit again once the
+  // pager recycled its old page for the same key.
+  std::vector<std::shared_ptr<const EncodedCube>> dropped;
+  size_t missing = 0;
+  {
+    MutexLock lock(&mu_);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto it = entries_.find(keys[i]);
+      if (it != entries_.end() && it->second.page == locs[i].first_page) {
+        continue;
+      }
+      if (it != entries_.end()) DropLocked(it, &dropped);
+      keys[missing] = keys[i];
+      locs[missing] = locs[i];
+      ++missing;
+    }
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      const CubeKey& key = it->first;
+      const std::optional<Date>& from = oldest[static_cast<int>(key.level)];
+      const bool stays = AdmitsOnQuery()
+                             ? snapshot.PageOf(key) == it->second.page
+                             : from.has_value() && *from <= key.start;
+      it = stays ? std::next(it) : DropLocked(it, &dropped);
+    }
+    PublishResidentLocked();
+  }
+  // The dropped blobs are released here, outside mu_.
+  dropped.clear();
+  keys.resize(missing);
+  locs.resize(missing);
+
+  // Read the missing cubes in batches of about kWarmBatchBytes of blobs,
+  // and admit each blob in its resident form.
   for (size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
     uint64_t batch_bytes = 0;
     while (end < keys.size() &&
@@ -103,7 +159,7 @@ void CubeCache::Preload(const TemporalIndex* index,
                              : Result<std::shared_ptr<const EncodedCube>>(
                                    batch.status());
       if (!blob.ok()) {
-        RASED_LOG(Warning) << "cache preload of " << keys[i].ToString()
+        RASED_LOG(Warning) << "cache warm of " << keys[i].ToString()
                            << " failed: " << blob.status().ToString();
         continue;
       }
@@ -114,36 +170,6 @@ void CubeCache::Preload(const TemporalIndex* index,
       if (metrics_.preloads != nullptr) metrics_.preloads->Increment();
     }
   }
-}
-
-Status CubeCache::Warm(const TemporalIndex* index) {
-  if (options_.policy == CachePolicy::kLru) return Status::OK();
-  // One snapshot for the whole warm pass: every preloaded entry carries
-  // the page of the same published version, and maintenance concurrent
-  // with the warm neither blocks nor is blocked by it.
-  CatalogSnapshot snapshot = index->Snapshot();
-  Clear();
-  const uint64_t budget = options_.byte_budget;
-  if (options_.policy == CachePolicy::kAllDaily) {
-    Preload(index, snapshot, Level::kDaily, budget);
-    return Status::OK();
-  }
-  // kRasedRecency: split the byte budget by (alpha, beta, gamma, theta);
-  // whatever the coarser levels cannot fill (an index may simply have fewer
-  // weekly cubes than beta's share of bytes) falls back to daily, the level
-  // with the most nodes. Compression multiplies here: the shares are bytes,
-  // so sparsely-encoded cubes cost the budget only what they actually hold.
-  const double b = static_cast<double>(budget);
-  uint64_t weekly = static_cast<uint64_t>(std::floor(options_.beta * b));
-  uint64_t monthly = static_cast<uint64_t>(std::floor(options_.gamma * b));
-  uint64_t yearly = static_cast<uint64_t>(std::floor(options_.theta * b));
-  Preload(index, snapshot, Level::kWeekly, weekly);
-  Preload(index, snapshot, Level::kMonthly, monthly);
-  Preload(index, snapshot, Level::kYearly, yearly);
-  // Daily receives its alpha share plus the coarser levels' leftover bytes.
-  uint64_t used = bytes_used();
-  uint64_t remaining = used < budget ? budget - used : 0;
-  Preload(index, snapshot, Level::kDaily, remaining);
   return Status::OK();
 }
 
@@ -213,23 +239,19 @@ void CubeCache::Admit(const CubeKey& key, PageId page, uint64_t bytes,
   entries_.emplace(key,
                    Entry{std::move(cube), page, bytes, lru_list_.begin()});
   bytes_used_ += bytes;
-  if (metrics_.resident != nullptr) {
-    metrics_.resident->Set(static_cast<int64_t>(entries_.size()));
-    metrics_.resident_bytes->Set(static_cast<int64_t>(bytes_used_));
-  }
+  PublishResidentLocked();
 }
 
-void CubeCache::InvalidateRange(const DateRange& range) {
-  MutexLock lock(&mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.range().Overlaps(range)) {
-      bytes_used_ -= it->second.bytes;
-      if (AdmitsOnQuery()) lru_list_.erase(it->second.lru_it);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+CubeCache::EntryMap::iterator CubeCache::DropLocked(
+    EntryMap::iterator it,
+    std::vector<std::shared_ptr<const EncodedCube>>* dropped) {
+  bytes_used_ -= it->second.bytes;
+  if (AdmitsOnQuery()) lru_list_.erase(it->second.lru_it);
+  dropped->push_back(std::move(it->second.cube));
+  return entries_.erase(it);
+}
+
+void CubeCache::PublishResidentLocked() {
   if (metrics_.resident != nullptr) {
     metrics_.resident->Set(static_cast<int64_t>(entries_.size()));
     metrics_.resident_bytes->Set(static_cast<int64_t>(bytes_used_));
@@ -249,17 +271,6 @@ uint64_t CubeCache::bytes_used() const {
 CacheStats CubeCache::stats() const {
   MutexLock lock(&mu_);
   return stats_;
-}
-
-void CubeCache::Clear() {
-  MutexLock lock(&mu_);
-  entries_.clear();
-  lru_list_.clear();
-  bytes_used_ = 0;
-  if (metrics_.resident != nullptr) {
-    metrics_.resident->Set(0);
-    metrics_.resident_bytes->Set(0);
-  }
 }
 
 }  // namespace rased

@@ -5,6 +5,7 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "cube/cube_codec.h"
 #include "cube/data_cube.h"
@@ -18,10 +19,10 @@ namespace rased {
 
 /// How the cache decides what lives inside its byte budget.
 enum class CachePolicy {
-  /// The paper's strategy (Section VII-A): statically preload the most
-  /// recent cubes level by level, giving each level its (beta, gamma,
-  /// theta) share of the byte budget and the remainder to daily. Nothing
-  /// is admitted or evicted at query time.
+  /// The paper's strategy (Section VII-A): hold the most recent cubes
+  /// level by level, giving each level its (beta, gamma, theta) share of
+  /// the byte budget and the remainder to daily. Only Warm changes the
+  /// contents; nothing is admitted or evicted at query time.
   kRasedRecency = 0,
   /// Classic LRU admission/eviction on the query path (ablation baseline).
   kLru = 1,
@@ -62,7 +63,7 @@ struct CacheOptions {
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t preloaded = 0;
+  uint64_t preloaded = 0;  // cubes Warm admitted
   uint64_t evictions = 0;
 };
 
@@ -77,13 +78,13 @@ struct CacheStats {
 /// charges the heap an entry really holds.
 ///
 /// Threading contract: CubeCache is internally synchronized. Lookups,
-/// inserts, invalidation, warming, and stats are safe from any number of
-/// dashboard worker threads concurrently. Entries are immutable once
+/// inserts, warming, and stats are safe from any number of dashboard
+/// worker threads concurrently; Warm calls must not overlap each other
+/// (Rased runs them under its writer mutex). Entries are immutable once
 /// admitted and handed out as shared_ptr, so a reader keeps its blob alive
-/// even if an LRU eviction or InvalidateRange drops the entry mid-read.
-/// Warm() pins one catalog snapshot and preloads against it without
-/// blocking readers or writers (its reads charge the pager like any
-/// query's).
+/// even if an LRU eviction or a Warm drops the entry mid-read. Warm pins
+/// one catalog snapshot and refreshes against it without blocking readers
+/// or writers (its reads charge the pager like any query's).
 ///
 /// MVCC validation: every entry remembers the page its cube was read
 /// from, and lookups treat the page id as the entry's version: a lookup
@@ -96,13 +97,14 @@ class CubeCache {
  public:
   explicit CubeCache(const CacheOptions& options);
 
-  /// Preloads cubes per the configured policy against one pinned snapshot
-  /// of `index`'s current version. For kRasedRecency/kAllDaily this
-  /// performs the full static prefetch; for kLru it is a no-op (the cache
-  /// fills on demand). Warm reads go through the index pager in bounded
-  /// batches but are an offline cost — callers typically reset pager
-  /// stats afterwards. Non-blocking: queries keep running (and hitting)
-  /// while Warm refills.
+  /// Idempotent refresh against one pinned snapshot of `index`'s current
+  /// version (always the same index); Rased runs it after every
+  /// publication. Recency policies: the cache then holds exactly what a
+  /// Warm of a freshly opened copy would pick — per level, newest first,
+  /// what fits the level's byte share. Entries selected at the same page
+  /// keep their blob, the rest are dropped, and only the missing cubes
+  /// are read. kLru (fills on demand): reads nothing, only drops entries
+  /// whose key moved to another page. Queries keep running throughout.
   Status Warm(const TemporalIndex* index) RASED_EXCLUDES(mu_);
 
   /// The hot-path lookup: the resident blob cached from `page` (the
@@ -137,12 +139,6 @@ class CubeCache {
   /// Page-validated membership test (the optimizer's IsCached probe).
   bool Contains(const CubeKey& key, PageId page) const RASED_EXCLUDES(mu_);
 
-  /// Drops every cached cube whose window overlaps `range`. Called when
-  /// the monthly rebuild rewrites a month's cubes (and its month/year
-  /// ancestors) underneath the cache; callers re-Warm afterwards to refill
-  /// the freed slots. In-flight readers holding shared_ptrs are unharmed.
-  void InvalidateRange(const DateRange& range) RASED_EXCLUDES(mu_);
-
   /// Heap bytes one entry holding a `body_bytes` resident body charges:
   /// the body's 8-byte words, plus the shared EncodedCube with its
   /// control block, the hash-map node and bucket slot, and an LRU list
@@ -155,18 +151,14 @@ class CubeCache {
   uint64_t bytes_used() const RASED_EXCLUDES(mu_);
   const CacheOptions& options() const { return options_; }
   CacheStats stats() const RASED_EXCLUDES(mu_);
-  void Clear() RASED_EXCLUDES(mu_);
 
  private:
   /// Stores `cube` under `key`, replacing any entry there and evicting
   /// least-recently-used entries until `bytes` fits.
   void Admit(const CubeKey& key, PageId page, uint64_t bytes,
              std::shared_ptr<const EncodedCube> cube) RASED_REQUIRES(mu_);
-  /// Preloads the newest cubes of `level` whose resident entries fit in
-  /// `max_bytes`. Selection is pure catalog metadata (no I/O needed to
-  /// decide what fits); only the selected cubes are read.
-  void Preload(const TemporalIndex* index, const CatalogSnapshot& snapshot,
-               Level level, uint64_t max_bytes) RASED_EXCLUDES(mu_);
+  /// Mirrors entries_ into the resident gauges after entry surgery.
+  void PublishResidentLocked() RASED_REQUIRES(mu_);
 
   const CacheOptions options_;  // immutable after construction
 
@@ -187,7 +179,7 @@ class CubeCache {
   CacheMetrics metrics_ RASED_CONST_AFTER_INIT;
 
   /// Guards every mutable member below. Held only for map/list surgery,
-  /// never across index I/O (Preload reads a batch first, then locks to
+  /// never across index I/O (Warm reads a batch first, then locks to
   /// admit it), so worker threads contend only on pointer-sized critical
   /// sections.
   mutable Mutex mu_;
@@ -206,8 +198,14 @@ class CubeCache {
     /// Position in lru_list_ (kLru only; every kLru entry has one).
     std::list<CubeKey>::iterator lru_it;
   };
-  std::unordered_map<CubeKey, Entry, CubeKeyHash> entries_
-      RASED_GUARDED_BY(mu_);
+  using EntryMap = std::unordered_map<CubeKey, Entry, CubeKeyHash>;
+  EntryMap entries_ RASED_GUARDED_BY(mu_);
+  /// Uncharges and erases `it`, moving its blob to `dropped` for the
+  /// caller to release after unlocking; returns the next entry.
+  EntryMap::iterator DropLocked(
+      EntryMap::iterator it,
+      std::vector<std::shared_ptr<const EncodedCube>>* dropped)
+      RASED_REQUIRES(mu_);
   std::list<CubeKey> lru_list_ RASED_GUARDED_BY(mu_);  // front = most recent
   /// Sum of entries_[*].bytes — the budget charge.
   uint64_t bytes_used_ RASED_GUARDED_BY(mu_) = 0;

@@ -236,14 +236,14 @@ Status Rased::IngestDayRecordsLocked(
   }
   ingest_metrics_.days->Increment();
   ingest_metrics_.records->Increment(records.size());
-  return Status::OK();
+  return RefreshCacheLocked();
 }
 
 Status Rased::IngestDayCube(Date day, const DataCube& cube) {
   MutexLock lock(&ingest_mu_);
   RASED_RETURN_IF_ERROR(index_->AppendDay(day, SparseCube::FromDense(cube)));
   ingest_metrics_.days->Increment();
-  return Status::OK();
+  return RefreshCacheLocked();
 }
 
 Status Rased::ApplyMonthlyArtifacts(Date month_start,
@@ -268,38 +268,23 @@ Status Rased::ApplyMonthlyArtifacts(Date month_start,
                                        : SparseCube(options_.schema));
   }
   RASED_RETURN_IF_ERROR(index_->RebuildMonth(month_start, cubes));
-
-  // The rebuild published a new catalog version with fresh pages for this
-  // month and its month/year ancestors. Cache entries for the replaced
-  // cubes are page-validated, so they can no longer serve post-publication
-  // snapshots (and correctly keep serving readers still pinned to the old
-  // version); evicting them just reclaims the slots promptly. The
-  // containing year's range covers every affected ancestor.
-  // Statically-warmed policies are refilled against the new version
-  // (another offline cost) — readers keep querying throughout.
-  cache_->InvalidateRange(
-      DateRange(month_start.year_start(), month_start.year_end()));
-  if (cache_->options().policy != CachePolicy::kLru &&
-      cache_->stats().preloaded > 0) {
-    RASED_RETURN_IF_ERROR(WarmCacheLocked());
-  }
-  return Status::OK();
+  // The refresh drops the replaced cubes and reads only the replacements
+  // it selects; every other entry keeps serving.
+  return RefreshCacheLocked();
 }
 
 Status Rased::WarmCache() {
   MutexLock lock(&ingest_mu_);
-  return WarmCacheLocked();
-}
-
-Status Rased::WarmCacheLocked() {
-  // Warm pins one snapshot of the currently published version internally;
-  // concurrent queries keep running against their own snapshots the whole
-  // time (their page-validated probes simply miss entries the warm pass
-  // hasn't refilled yet).
   RASED_RETURN_IF_ERROR(cache_->Warm(index_.get()));
+  cache_warmed_ = true;
   // Warm-up reads are offline cost; keep query-time I/O accounting clean.
   index_->pager()->ResetStats();
   return Status::OK();
+}
+
+Status Rased::RefreshCacheLocked() {
+  if (!cache_warmed_ && !cache_->AdmitsOnQuery()) return Status::OK();
+  return cache_->Warm(index_.get());
 }
 
 Result<QueryResult> Rased::Query(const AnalysisQuery& query) const {

@@ -76,6 +76,10 @@ struct RasedOptions {
 ///   AnalysisQuery q = ...;
 ///   auto result = rased->Query(q);
 ///
+/// After WarmCache, every publication refreshes the cache before the
+/// ingest call returns: at every epoch it holds what WarmCache on a fresh
+/// open would pick, so a new day is resident as soon as it is queryable.
+///
 /// Threading contract (MVCC): queries never block on ingest, and ingest
 /// never waits for queries to drain. The const query family (Query,
 /// SampleInBox, SampleByChangeset, Sample) takes no facade lock at all —
@@ -131,11 +135,10 @@ class Rased {
                                std::string_view changesets_xml)
       RASED_EXCLUDES(ingest_mu_);
 
-  /// Preloads the cube cache per the configured policy against the
-  /// currently published catalog version. Serialized with ingest (so the
-  /// warmed epoch is well defined) but never blocks queries: readers keep
-  /// hitting the cache — page-validated against their own snapshots —
-  /// while the warm pass refills it.
+  /// Warms the cube cache against the currently published catalog version
+  /// (CubeCache::Warm), which every later publication then refreshes, and
+  /// resets the index pager's stats. Serialized with ingest (so the
+  /// warmed epoch is well defined) but never blocks queries.
   Status WarmCache() RASED_EXCLUDES(ingest_mu_);
 
   // ---- queries (Section IV) ----
@@ -196,7 +199,8 @@ class Rased {
   Status IngestDayRecordsLocked(Date day,
                                 const std::vector<UpdateRecord>& records)
       RASED_REQUIRES(ingest_mu_);
-  Status WarmCacheLocked() RASED_REQUIRES(ingest_mu_);
+  /// CubeCache::Warm after a publication: once warmed, or always for kLru.
+  Status RefreshCacheLocked() RASED_REQUIRES(ingest_mu_);
 
   /// rased.meta persistence: structural options plus the mutable lookup
   /// state that must survive restarts — interned road types (cube
@@ -213,6 +217,8 @@ class Rased {
   /// mutex is ordered before the component locks (index maintenance,
   /// cache, road-type table) but never interacts with readers at all.
   mutable Mutex ingest_mu_;
+
+  bool cache_warmed_ RASED_GUARDED_BY(ingest_mu_) = false;
 
   /// Everything below is assigned once in InitComponents — before any
   /// caller thread can reach the facade — and is immutable afterwards;

@@ -238,14 +238,16 @@ std::map<std::string, std::string> HttpServer::ParseQuery(
 
 void HttpServer::HandleConnection(int fd) {
   // Read until the end of the header block (requests here are GETs with no
-  // body) or a sanity cap.
+  // body) or the header size cap.
+  constexpr size_t kMaxHeaderBytes = 64 * 1024;
   std::string request;
   char buf[4096];
-  while (request.find("\r\n\r\n") == std::string::npos &&
-         request.size() < 64 * 1024) {
+  size_t header_end = std::string::npos;
+  while (header_end == std::string::npos && request.size() < kMaxHeaderBytes) {
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
+    header_end = request.find("\r\n\r\n");
   }
 
   const int64_t t_start = NowMicros();
@@ -272,8 +274,12 @@ void HttpServer::HandleConnection(int fd) {
   if (trace_id == 0) trace_id = MintTraceId();
   ScopedRequestContext request_scope(trace_id);
 
+  // Only a whole header block within the cap, led by "METHOD target
+  // HTTP/1.x", is a request.
   std::vector<std::string> parts = Split(first_line, ' ');
-  if (parts.size() < 2) {
+  if (header_end == std::string::npos ||
+      header_end + 4 > kMaxHeaderBytes || parts.size() != 3 ||
+      (parts[2] != "HTTP/1.1" && parts[2] != "HTTP/1.0")) {
     response.status = 400;
     response.content_type = "text/plain";
     response.body = "bad request";

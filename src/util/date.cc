@@ -63,6 +63,7 @@ Result<Date> Date::Parse(std::string_view text) {
   // Accepts what sscanf(text, "%d-%d-%d%c") read as exactly three fields:
   // leading whitespace and signs are tolerated, trailing junk is not, and
   // the text ends at its first NUL. Below 8 bytes is too short for a date.
+  // Fields must fit an int, and the year ToString's 0000-9999.
   std::string_view rest = text.substr(0, text.find('\0'));
   int y = 0, m = 0, d = 0;
   auto field = [&rest](int* out, bool dash_after) {
@@ -77,7 +78,8 @@ Result<Date> Date::Parse(std::string_view text) {
     return Status::InvalidArgument("expected YYYY-MM-DD, got '" +
                                    std::string(text) + "'");
   }
-  if (m < 1 || m > 12 || d < 1 || d > DaysInMonthOf(y, m)) {
+  if (y < 0 || y > 9999 || m < 1 || m > 12 || d < 1 ||
+      d > DaysInMonthOf(y, m)) {
     return Status::InvalidArgument("invalid calendar date '" +
                                    std::string(text) + "'");
   }

@@ -185,26 +185,15 @@ bool ConsumeScanfInt(std::string_view* text, int* out) {
   const bool negative = i < t.size() && t[i] == '-';
   if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
   const size_t digits = i;
-  // Accumulate the magnitude saturated at 2^63, enough for LONG's range.
-  uint64_t magnitude = 0;
-  constexpr uint64_t kSaturated = uint64_t{1} << 63;
+  // The magnitude may reach 2^31 (INT_MIN's); any more digits refuse.
+  constexpr int64_t kLimit = int64_t{1} << 31;
+  int64_t magnitude = 0;
   for (; i < t.size() && t[i] >= '0' && t[i] <= '9'; ++i) {
-    const uint64_t digit = static_cast<uint64_t>(t[i] - '0');
-    magnitude = magnitude > (kSaturated - digit) / 10 ? kSaturated
-                                                      : magnitude * 10 + digit;
+    magnitude = magnitude * 10 + (t[i] - '0');
+    if (magnitude > kLimit) return false;
   }
-  if (i == digits) return false;
-  // strtol's clamp to [LONG_MIN, LONG_MAX], then scanf's store into an int
-  // keeps the low 32 bits.
-  int64_t value;
-  if (negative) {
-    value = magnitude >= kSaturated ? INT64_MIN
-                                    : -static_cast<int64_t>(magnitude);
-  } else {
-    value = magnitude >= kSaturated ? INT64_MAX
-                                    : static_cast<int64_t>(magnitude);
-  }
-  *out = static_cast<int>(static_cast<uint32_t>(static_cast<uint64_t>(value)));
+  if (i == digits || (!negative && magnitude == kLimit)) return false;
+  *out = static_cast<int>(negative ? -magnitude : magnitude);
   text->remove_prefix(i);
   return true;
 }

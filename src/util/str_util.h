@@ -29,11 +29,11 @@ Result<int64_t> ParseInt(std::string_view text);
 Result<uint64_t> ParseUint(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 
-/// Consumes one integer from the front of `*text` exactly as scanf's "%d"
-/// reads it: leading whitespace, an optional sign, then decimal digits; a
-/// value beyond long's range saturates and is then truncated to int.
-/// Returns false when no digit follows, leaving `*text` as it was. Stop
-/// `*text` at its first NUL to read it as the C string scanf would see.
+/// Consumes one integer from the front of `*text` as scanf's "%d" reads
+/// it: leading whitespace, an optional sign, then decimal digits. Returns
+/// false when no digit follows or the value does not fit an int (scanf
+/// would wrap it), leaving `*text` as it was. Stop `*text` at its first
+/// NUL to read it as the C string scanf would see.
 bool ConsumeScanfInt(std::string_view* text, int* out);
 
 /// Thousands-separated rendering of a count, e.g. 9142858 -> "9,142,858"

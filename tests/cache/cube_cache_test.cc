@@ -392,33 +392,41 @@ TEST_F(CubeCacheTest, BytesForCubes) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST_F(CubeCacheTest, ClearEmptiesEverything) {
-  auto index = BuildIndex(10);
+// Warm is a refresh, not a reload: on an unchanged catalog a second pass
+// reads nothing and every entry keeps the very blob the first pass
+// admitted.
+TEST_F(CubeCacheTest, RewarmOnUnchangedCatalogReadsNothing) {
+  auto index = BuildIndex(60);
+  CatalogSnapshot snapshot = index->Snapshot();
   CacheOptions options;
-  options.byte_budget = CacheOptions::BytesForCubes(5, TinySchema());
+  // Room for part of the index only, so the selection stops inside a
+  // level.
+  options.byte_budget = BytesForAll(snapshot) / 2;
   CubeCache cache(options);
   ASSERT_TRUE(cache.Warm(index.get()).ok());
-  EXPECT_GT(cache.size(), 0u);
-  EXPECT_GT(cache.bytes_used(), 0u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes_used(), 0u);
-}
+  ASSERT_GT(cache.size(), 0u);
+  ASSERT_LT(cache.size(), index->StorageStats().total_cubes);
 
-TEST_F(CubeCacheTest, InvalidateRangeReleasesBytes) {
-  auto index = BuildIndex(20);
-  CacheOptions options;
-  options.byte_budget = 2 * BytesForAll(index->Snapshot());
-  CubeCache cache(options);
+  auto resident = [&] {
+    std::vector<const EncodedCube*> blobs;
+    for (int level = 0; level < kNumLevels; ++level) {
+      for (const CubeKey& key :
+           snapshot.LatestKeys(static_cast<Level>(level),
+                               std::numeric_limits<size_t>::max())) {
+        blobs.push_back(
+            cache.FindEncoded(key, snapshot.PageOf(key).value()).get());
+      }
+    }
+    return blobs;
+  };
+  const std::vector<const EncodedCube*> before = resident();
+  const uint64_t bytes_before = cache.bytes_used();
+  const uint64_t read_ops_before = index->pager()->stats().read_ops;
+
   ASSERT_TRUE(cache.Warm(index.get()).ok());
-  uint64_t before = cache.bytes_used();
-  ASSERT_GT(before, 0u);
-  cache.InvalidateRange(
-      DateRange(Date::FromYmd(2021, 1, 1), Date::FromYmd(2021, 1, 10)));
-  EXPECT_LT(cache.bytes_used(), before);
-  CubeKey key = CubeKey::Daily(Date::FromYmd(2021, 1, 5));
-  EXPECT_EQ(cache.FindEncoded(key, index->Snapshot().PageOf(key).value()),
-            nullptr);
+  EXPECT_EQ(index->pager()->stats().read_ops, read_ops_before);
+  EXPECT_EQ(resident(), before);
+  EXPECT_EQ(cache.bytes_used(), bytes_before);
 }
 
 // The budget is a true limit on memory: after Warm, the resident-bytes

@@ -63,6 +63,24 @@ std::string Body(const std::string& response) {
   return at == std::string::npos ? response : response.substr(at + 4);
 }
 
+// Bit-for-bit row comparison (doubles compared exactly: percentage is a
+// deterministic function of count and the static zone sizes).
+bool RowsEqual(const std::vector<ResultRow>& a,
+               const std::vector<ResultRow>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].element_type != b[i].element_type || a[i].country != b[i].country ||
+        a[i].road_type != b[i].road_type ||
+        a[i].update_type != b[i].update_type ||
+        a[i].has_date != b[i].has_date || a[i].count != b[i].count ||
+        a[i].percentage != b[i].percentage) {
+      return false;
+    }
+    if (a[i].has_date && !(a[i].date == b[i].date)) return false;
+  }
+  return true;
+}
+
 class ConcurrentQueriesTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -173,7 +191,7 @@ TEST_F(ConcurrentQueriesTest, ConcurrentIdenticalQueriesAgree) {
 // Drives CubeCache directly from many threads under the LRU policy:
 // readers hold shared_ptrs across concurrent evictions and must never see
 // a dangling cube. This is the cache's documented threading contract.
-TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
+TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertEvict) {
   CubeSchema schema = CubeSchema::BenchScale();
   auto blob_for = [&schema](Date day) {
     DataCube cube(schema);
@@ -181,8 +199,8 @@ TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
     return std::make_shared<const EncodedCube>(EncodedCube::Encode(cube));
   };
   CacheOptions options;
-  // Tiny budget — room for only three sparse-encoded one-cell cubes — to
-  // force constant eviction.
+  // Tiny budget — room for only three of the 16 sparse-encoded one-cell
+  // cubes the threads cycle through — to force constant eviction.
   options.byte_budget =
       3 * CubeCache::EntryBytes(
               blob_for(Date::FromYmd(2021, 1, 1))->body_bytes());
@@ -212,11 +230,6 @@ TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
         } else {
           cache.Insert(key, kInvalidPageId, blob_for(day));
         }
-        if (i % 64 == 0) {
-          cache.InvalidateRange(
-              DateRange(Date::FromYmd(2021, 1, 1),
-                        Date::FromYmd(2021, 1, kDays)));
-        }
       }
     });
   }
@@ -224,6 +237,7 @@ TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
   EXPECT_FALSE(failed.load());
   CacheStats stats = cache.stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
+  EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(cache.bytes_used(), options.byte_budget);
 }
 
@@ -319,8 +333,13 @@ TEST_F(ConcurrentQueriesTest, PerQueryStatsMatchSerialRunExactly) {
   EXPECT_EQ(divergences.load(), 0);
 }
 
-// Readers keep getting the same (correct) answers while a writer appends
-// new days through the facade's write path. This test and the MVCC tests
+// Readers keep getting correct answers while a writer appends new days
+// through the facade's write path and, midway, rebuilds February at its
+// month end. The fixture's cache is warmed, so every publication also
+// refreshes the cache under the readers. Each reader pins a snapshot per
+// query and alternates the settled history with the newest published day;
+// once the writer is done, every answer is re-run serially against its
+// own snapshot and must match row for row. This test and the MVCC tests
 // after it grow the instance's coverage (appends must stay consecutive),
 // so later tests derive their first append day from live coverage rather
 // than hardcoding dates — correct both under ctest (one process per test)
@@ -328,16 +347,30 @@ TEST_F(ConcurrentQueriesTest, PerQueryStatsMatchSerialRunExactly) {
 TEST_F(ConcurrentQueriesTest, QueriesStayCorrectWhileIngestAppendsDays) {
   constexpr int kReaders = 4;
   constexpr int kNewDays = 14;
+  constexpr int kRebuildAfterDay = 7;
 
   AnalysisQuery history;
   history.range = DateRange(Date::FromYmd(2021, 1, 1),
                             Date::FromYmd(2021, 2, 28));
   history.group_country = true;
-  auto baseline = rased_->Query(history);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
+  // February's full-history fragment from the fixture's generator.
+  const Date february = Date::FromYmd(2021, 2, 1);
+  SynthOptions synth;
+  synth.seed = 21;
+  synth.base_updates_per_day = 40.0;
+  synth.period = DateRange(Date::FromYmd(2021, 1, 1), february.month_end());
+  const MonthArtifacts rebuild =
+      UpdateGenerator(synth, &rased_->world(), rased_->road_types())
+          .GenerateMonthArtifacts(february);
+
+  struct Answer {
+    CatalogSnapshot snapshot;
+    AnalysisQuery query;
+    std::vector<ResultRow> rows;
+  };
+  std::vector<std::vector<Answer>> answers(kReaders);
   std::atomic<bool> done{false};
-  std::atomic<int> wrong_answers{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -347,22 +380,20 @@ TEST_F(ConcurrentQueriesTest, QueriesStayCorrectWhileIngestAppendsDays) {
       // writer forever under glibc's reader-preferring rwlock, and this
       // test is about correct answers during appends, not lock fairness.
       for (int i = 0; i < 200 && !done.load(); ++i) {
-        // Alternate the direct facade path and the HTTP path; both must
-        // see the settled history untouched by the concurrent appends.
-        auto result = rased_->Query(history);
+        CatalogSnapshot snapshot = rased_->index()->Snapshot();
+        AnalysisQuery query = history;
+        if (i % 2 == 1) {
+          const Date newest = snapshot.coverage().last;
+          query.range = DateRange(newest, newest);
+        }
+        auto result = rased_->executor()->Execute(query, snapshot);
         if (!result.ok()) {
           ++failures;
-          continue;
+        } else {
+          answers[t].push_back(
+              {snapshot, query, std::move(result).value().rows});
         }
-        if (result.value().rows.size() != baseline.value().rows.size()) {
-          ++wrong_answers;
-        }
-        uint64_t total = 0, expected = 0;
-        for (const ResultRow& row : result.value().rows) total += row.count;
-        for (const ResultRow& row : baseline.value().rows) {
-          expected += row.count;
-        }
-        if (total != expected) ++wrong_answers;
+        // The HTTP path must keep serving throughout as well.
         if (t == 0 && i % 8 == 0) {
           std::string response = Fetch(
               service_->port(),
@@ -381,6 +412,11 @@ TEST_F(ConcurrentQueriesTest, QueriesStayCorrectWhileIngestAppendsDays) {
       cube.Add(0, 0, 0, 0, static_cast<uint64_t>(day));
       Status s = rased_->IngestDayCube(Date::FromYmd(2021, 3, day), cube);
       if (!s.ok()) ++failures;
+      if (day == kRebuildAfterDay) {
+        s = rased_->ApplyMonthlyArtifacts(february, rebuild.history_xml,
+                                          rebuild.changesets_xml);
+        if (!s.ok()) ++failures;
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
   });
@@ -388,7 +424,20 @@ TEST_F(ConcurrentQueriesTest, QueriesStayCorrectWhileIngestAppendsDays) {
   done.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(wrong_answers.load(), 0);
+
+  // Serial re-runs at each answer's own epoch.
+  int wrong_answers = 0;
+  size_t checked = 0;
+  for (const std::vector<Answer>& reader_answers : answers) {
+    for (const Answer& answer : reader_answers) {
+      auto serial = rased_->executor()->Execute(answer.query, answer.snapshot);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      if (!RowsEqual(serial.value().rows, answer.rows)) ++wrong_answers;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(wrong_answers, 0);
 
   // The appended days are queryable once the writer is done.
   AnalysisQuery march;
@@ -400,24 +449,6 @@ TEST_F(ConcurrentQueriesTest, QueriesStayCorrectWhileIngestAppendsDays) {
   uint64_t total = 0;
   for (const ResultRow& row : after.value().rows) total += row.count;
   EXPECT_EQ(total, static_cast<uint64_t>(kNewDays * (kNewDays + 1) / 2));
-}
-
-// Bit-for-bit row comparison (doubles compared exactly: percentage is a
-// deterministic function of count and the static zone sizes).
-bool RowsEqual(const std::vector<ResultRow>& a,
-               const std::vector<ResultRow>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].element_type != b[i].element_type || a[i].country != b[i].country ||
-        a[i].road_type != b[i].road_type ||
-        a[i].update_type != b[i].update_type ||
-        a[i].has_date != b[i].has_date || a[i].count != b[i].count ||
-        a[i].percentage != b[i].percentage) {
-      return false;
-    }
-    if (a[i].has_date && !(a[i].date == b[i].date)) return false;
-  }
-  return true;
 }
 
 // The MVCC publication contract, single-threaded and exact: a reader

@@ -151,6 +151,14 @@ TEST_F(DashboardServiceTest, BadDateIs400) {
   EXPECT_NE(response.find("400"), std::string::npos);
 }
 
+// The year's digits overflow an int; truncated to 32 bits they would read
+// as 2020.
+TEST_F(DashboardServiceTest, WrappedYearIs400) {
+  std::string response =
+      Fetch(service_->port(), "/api/query?from=4294969316-06-15");
+  EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
+}
+
 TEST_F(DashboardServiceTest, UnknownGroupDimensionIs400) {
   std::string response = Fetch(service_->port(), "/api/query?group=color");
   EXPECT_NE(response.find("400"), std::string::npos);

@@ -41,6 +41,25 @@ TEST(DateTest, ParseRejectsGarbage) {
   EXPECT_FALSE(Date::Parse("2020-02-30").ok());
   EXPECT_FALSE(Date::Parse("not-a-date").ok());
   EXPECT_FALSE(Date::Parse("2020-02-10x").ok());
+  // Fields that do not fit an int are refused, never wrapped: each of
+  // these reads as a valid 2020 date once truncated to 32 bits.
+  EXPECT_FALSE(Date::Parse("4294969316-06-15").ok());
+  EXPECT_FALSE(Date::Parse("2020-4294967302-15").ok());
+  EXPECT_FALSE(Date::Parse("2020-06-4294967311").ok());
+  // Years outside 0000-9999 would overflow the day arithmetic.
+  EXPECT_FALSE(Date::Parse("-2147483648-01-01").ok());
+  EXPECT_FALSE(Date::Parse("10000000-01-01").ok());
+  EXPECT_FALSE(Date::Parse("10000-01-01").ok());
+  EXPECT_FALSE(Date::Parse("-0001-01-01").ok());
+}
+
+TEST(DateTest, ParseAcceptsEveryFourDigitYear) {
+  auto first = Date::Parse("0000-01-01");
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().ToString(), "0000-01-01");
+  auto last = Date::Parse("9999-12-31");
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().ToString(), "9999-12-31");
 }
 
 TEST(DateTest, ParseAcceptsLeapDay) {
