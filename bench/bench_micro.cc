@@ -121,15 +121,20 @@ struct PaperRateInputs {
   MonthArtifacts month;
 };
 
-// Arg 0: the day's changesets; arg 1: the month's.
+// The crawl benchmarks' last argument is the fragment count: 1 is the
+// serial crawl, 3 the chunked crawl on a CrawlPool of 3 (the writer and
+// two helpers, DESIGN.md §11.7). Times are wall-clock.
+
+// First arg 0: the day's changesets; 1: the month's.
 void BM_ChangesetStore(benchmark::State& state) {
   PaperRateInputs& in = PaperRateInputs::Get();
   const std::string& xml =
       state.range(0) == 0 ? in.day.changesets_xml : in.month.changesets_xml;
+  CrawlPool pool(static_cast<size_t>(state.range(1)));
   size_t changesets = 0;
   for (auto _ : state) {
     ChangesetStore store;
-    Status s = store.AddFromXml(xml);
+    Status s = store.AddFromXml(xml, &pool);
     RASED_CHECK(s.ok());
     changesets = store.size();
     benchmark::DoNotOptimize(store);
@@ -138,7 +143,12 @@ void BM_ChangesetStore(benchmark::State& state) {
                           static_cast<int64_t>(xml.size()));
   state.counters["changesets"] = static_cast<double>(changesets);
 }
-BENCHMARK(BM_ChangesetStore)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ChangesetStore)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({1, 3})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DailyCrawl(benchmark::State& state) {
   PaperRateInputs& in = PaperRateInputs::Get();
@@ -146,19 +156,25 @@ void BM_DailyCrawl(benchmark::State& state) {
   Status s = changesets.AddFromXml(in.day.changesets_xml);
   RASED_CHECK(s.ok());
   DailyCrawler crawler(&in.world, &in.roads);
+  CrawlPool pool(static_cast<size_t>(state.range(0)));
   size_t records = 0;
   for (auto _ : state) {
-    std::vector<UpdateRecord> out;
-    Status st = crawler.CrawlDiff(in.day.osc_xml, changesets, &out);
+    std::vector<std::vector<UpdateRecord>> parts;
+    Status st = crawler.CrawlDiff(in.day.osc_xml, changesets, &pool, &parts);
     RASED_CHECK(st.ok());
-    records = out.size();
-    benchmark::DoNotOptimize(out);
+    records = 0;
+    for (const auto& part : parts) records += part.size();
+    benchmark::DoNotOptimize(parts);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(in.day.osc_xml.size()));
   state.counters["records"] = static_cast<double>(records);
 }
-BENCHMARK(BM_DailyCrawl)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DailyCrawl)
+    ->Arg(1)
+    ->Arg(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MonthlyCrawl(benchmark::State& state) {
   PaperRateInputs& in = PaperRateInputs::Get();
@@ -167,20 +183,26 @@ void BM_MonthlyCrawl(benchmark::State& state) {
   RASED_CHECK(s.ok());
   MonthlyCrawler crawler(&in.world, &in.roads);
   const DateRange june(Date::FromYmd(2020, 6, 1), Date::FromYmd(2020, 6, 30));
+  CrawlPool pool(static_cast<size_t>(state.range(0)));
   size_t records = 0;
   for (auto _ : state) {
-    std::vector<UpdateRecord> out;
+    std::vector<std::vector<UpdateRecord>> parts;
     Status st = crawler.CrawlHistory(in.month.history_xml, changesets, june,
-                                     &out);
+                                     &pool, &parts);
     RASED_CHECK(st.ok());
-    records = out.size();
-    benchmark::DoNotOptimize(out);
+    records = 0;
+    for (const auto& part : parts) records += part.size();
+    benchmark::DoNotOptimize(parts);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(in.month.history_xml.size()));
   state.counters["records"] = static_cast<double>(records);
 }
-BENCHMARK(BM_MonthlyCrawl)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MonthlyCrawl)
+    ->Arg(1)
+    ->Arg(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // The dashbench paper fixture's year (2020, paper-scale schema, 500
 // updates a day, seed 1) as a temporary index, built once per process,

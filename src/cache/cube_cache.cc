@@ -1,7 +1,6 @@
 #include "cache/cube_cache.h"
 
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <span>
 #include <utility>
@@ -69,25 +68,23 @@ Status CubeCache::Warm(const TemporalIndex* index) {
   CatalogSnapshot snapshot = index->Snapshot();
 
   // The recency selection, purely from catalog metadata: walk each level
-  // newest to oldest (LatestKeys returns newest last) and take the run
-  // whose resident entries (the blob's body) fit the level's byte share.
-  // It is every catalog key from the level's oldest selected start on.
+  // newest to oldest and take the run whose resident entries (the blob's
+  // body) fit the level's byte share. It is every catalog key from the
+  // level's oldest selected start on.
   std::vector<CubeKey> keys;
   std::vector<CubeLoc> locs;
   std::optional<Date> oldest[kNumLevels];
   auto select = [&](Level level, uint64_t max_bytes) {
     uint64_t selected_bytes = 0;
-    const std::vector<CubeKey> latest =
-        snapshot.LatestKeys(level, std::numeric_limits<size_t>::max());
-    for (auto kit = latest.rbegin(); kit != latest.rend(); ++kit) {
-      const CubeLoc loc = *snapshot.LocOf(*kit);
+    snapshot.ForEachNewest(level, [&](const CubeKey& key, const CubeLoc& loc) {
       const uint64_t bytes = EntryBytes(loc.blob_bytes - CubeBlobHeader::kBytes);
-      if (selected_bytes + bytes > max_bytes) break;
+      if (selected_bytes + bytes > max_bytes) return false;
       selected_bytes += bytes;
-      keys.push_back(*kit);
+      keys.push_back(key);
       locs.push_back(loc);
-      oldest[static_cast<int>(level)] = kit->start;
-    }
+      oldest[static_cast<int>(level)] = key.start;
+      return true;
+    });
     return selected_bytes;
   };
   // kRasedRecency splits the budget's bytes by (alpha, beta, gamma, theta);

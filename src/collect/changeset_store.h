@@ -4,6 +4,7 @@
 #include <string_view>
 #include <vector>
 
+#include "collect/chunked_crawl.h"
 #include "osm/changeset.h"
 #include "util/result.h"
 
@@ -23,6 +24,13 @@ class ChangesetStore {
   /// id seen again replaces the previous entry (re-crawl of an updated
   /// file).
   Status AddFromXml(std::string_view xml);
+
+  /// The same, with the document cut at changeset starts
+  /// (SplitChangesets) and the fragments read at once on `pool`; their
+  /// entries are added in file order. If a fragment fails, nothing of the
+  /// chunked read is added and the serial read runs, so the store and the
+  /// error end as AddFromXml(xml) leaves them.
+  Status AddFromXml(std::string_view xml, CrawlPool* pool);
 
   void Add(const Changeset& changeset) { Put(ChangesetCentre::Of(changeset)); }
 

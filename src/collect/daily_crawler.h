@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "collect/changeset_store.h"
+#include "collect/chunked_crawl.h"
 #include "collect/crawl_stats.h"
 #include "collect/update_record.h"
 #include "geo/world_map.h"
@@ -28,11 +29,11 @@ namespace rased {
 /// after the index appends the cube built from these tuples.
 class DailyCrawler {
  public:
-  /// The map and road-type table must outlive the crawler. The table is
-  /// shared and mutated (new highway values are interned). `metrics`, when
+  /// The map and road-type table must outlive the crawler. `metrics`, when
   /// non-null, receives live rased_crawl_* counters (elements seen,
-  /// records emitted) on top of the per-crawler stats() snapshot.
-  DailyCrawler(const WorldMap* world, RoadTypeTable* road_types,
+  /// records emitted), added once per crawl, on top of the per-crawler
+  /// stats() snapshot.
+  DailyCrawler(const WorldMap* world, const RoadTypeTable* road_types,
                MetricsRegistry* metrics = nullptr)
       : world_(world), road_types_(road_types) {
     if (metrics != nullptr) {
@@ -48,12 +49,28 @@ class DailyCrawler {
   Status CrawlDiff(std::string_view osc_xml, const ChangesetStore& changesets,
                    std::vector<UpdateRecord>* out);
 
+  /// The same crawl, with the diff cut into blocks (SplitOsmChange) that
+  /// `pool` crawls at once. `parts` gets one vector per fragment, in file
+  /// order; together they hold what CrawlDiff emits, and stats() and the
+  /// counters move as CrawlDiff moves them. On malformed input the serial
+  /// crawl runs again into parts[0] and its error is returned.
+  Status CrawlDiff(std::string_view osc_xml, const ChangesetStore& changesets,
+                   CrawlPool* pool, std::vector<std::vector<UpdateRecord>>* parts);
+
   const CrawlStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CrawlStats{}; }
 
  private:
+  /// Crawls one fragment, touching nothing but its arguments.
+  Status CrawlFragment(std::string_view xml, XmlFragment where,
+                       const ChangesetStore& changesets,
+                       std::vector<UpdateRecord>* out,
+                       CrawlStats* stats) const;
+  /// Adds one crawl's counts to stats() and the counters.
+  void Count(const CrawlStats& crawl);
+
   const WorldMap* world_;
-  RoadTypeTable* road_types_;
+  const RoadTypeTable* road_types_;
   CrawlStats stats_;
   Counter* elements_counter_ = nullptr;
   Counter* records_counter_ = nullptr;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "osm/history.h"
+#include "util/str_util.h"
 
 namespace rased {
 
@@ -10,24 +11,87 @@ Status MonthlyCrawler::CrawlHistory(std::string_view history_xml,
                                     const ChangesetStore& changesets,
                                     const DateRange& window,
                                     std::vector<UpdateRecord>* out) {
+  CrawlStats crawl;
+  Ends ends;
+  Status s = CrawlFragment(history_xml, XmlFragment{}, changesets, window, out,
+                           &crawl, &ends);
+  stats_ += crawl;
+  return s;
+}
+
+Status MonthlyCrawler::CrawlHistory(
+    std::string_view history_xml, const ChangesetStore& changesets,
+    const DateRange& window, CrawlPool* pool,
+    std::vector<std::vector<UpdateRecord>>* parts) {
+  const std::vector<std::string_view> fragments =
+      SplitHistory(history_xml, pool->parts());
+  if (fragments.size() > 1 &&
+      CrawlHistoryFragments(fragments, changesets, window, pool, parts).ok()) {
+    return Status::OK();
+  }
+  // One fragment, or a failed one: the serial crawl, whose error (line
+  // number included) is the one to report.
+  parts->assign(1, {});
+  return CrawlHistory(history_xml, changesets, window, &parts->front());
+}
+
+Status MonthlyCrawler::CrawlHistoryFragments(
+    std::span<const std::string_view> fragments,
+    const ChangesetStore& changesets, const DateRange& window, CrawlPool* pool,
+    std::vector<std::vector<UpdateRecord>>* parts) {
+  const size_t n = fragments.size();
+  parts->clear();
+  parts->resize(n);
+  std::vector<CrawlStats> stats(n);
+  std::vector<Ends> ends(n);
+  RASED_RETURN_IF_ERROR(pool->Run(n, [&](size_t i) {
+    return CrawlFragment(fragments[i], XmlFragment::Of(i, n), changesets,
+                         window, &(*parts)[i], &stats[i], &ends[i]);
+  }));
+  const Ends* before = nullptr;  // the last fragment that held a version
+  for (const Ends& e : ends) {
+    if (!e.any) continue;
+    if (before != nullptr && before->last_type == e.first_type &&
+        before->last_id == e.first_id) {
+      return Status::FailedPrecondition(
+          StrFormat("history fragments split the versions of %s %lld",
+                    std::string(ElementTypeName(e.first_type)).c_str(),
+                    static_cast<long long>(e.first_id)));
+    }
+    before = &e;
+  }
+  for (const CrawlStats& fragment : stats) stats_ += fragment;
+  return Status::OK();
+}
+
+Status MonthlyCrawler::CrawlFragment(std::string_view xml, XmlFragment where,
+                                     const ChangesetStore& changesets,
+                                     const DateRange& window,
+                                     std::vector<UpdateRecord>* out,
+                                     CrawlStats* stats, Ends* ends) const {
   // Consecutive versions of one element are adjacent in the file. Two
   // records take turns: each version is read into `current`, classified
   // against `previous`, then the two swap, so no version is copied.
-  HistoryReader reader(history_xml);
+  HistoryReader reader(xml, where);
   ElementVersion current, previous;
-  bool have_previous = false;
   for (;;) {
     RASED_ASSIGN_OR_RETURN(bool more, reader.Next(&current));
     if (!more) return Status::OK();
-    ++stats_.elements_seen;
+    ++stats->elements_seen;
     const ElementVersion* prev = nullptr;
-    if (have_previous && previous.type == current.type &&
+    if (ends->any && previous.type == current.type &&
         previous.id == current.id) {
       prev = &previous;
     }
-    Emit(current, prev, changesets, window, out);
+    Emit(current, prev, changesets, window, out, stats);
+    if (!ends->any) {
+      ends->any = true;
+      ends->first_type = current.type;
+      ends->first_id = current.id;
+    }
+    ends->last_type = current.type;
+    ends->last_id = current.id;
     std::swap(current, previous);
-    have_previous = true;
   }
 }
 
@@ -35,7 +99,8 @@ void MonthlyCrawler::Emit(const ElementVersion& current,
                           const ElementVersion* previous,
                           const ChangesetStore& changesets,
                           const DateRange& window,
-                          std::vector<UpdateRecord>* out) {
+                          std::vector<UpdateRecord>* out,
+                          CrawlStats* stats) const {
   Date date = current.timestamp.date;
   if (!window.empty() && !window.Contains(date)) return;
 
@@ -51,7 +116,7 @@ void MonthlyCrawler::Emit(const ElementVersion& current,
     highway = previous->FindHighway();
   }
   r.road_type =
-      highway != nullptr ? road_types_->Intern(*highway) : kRoadTypeNone;
+      highway != nullptr ? road_types_->Lookup(*highway) : kRoadTypeNone;
 
   // Four-way classification (Section V, monthly crawler).
   if (!current.visible) {
@@ -76,22 +141,22 @@ void MonthlyCrawler::Emit(const ElementVersion& current,
     r.lat = located->lat;
     r.lon = located->lon;
     r.country = world_->CountryAt(LatLon{r.lat, r.lon});
-    ++stats_.located_by_coordinates;
+    ++stats->located_by_coordinates;
   } else {
     const ChangesetCentre* cs = changesets.Find(current.changeset);
     if (cs != nullptr && cs->has_bbox) {
       r.lat = cs->lat;
       r.lon = cs->lon;
       r.country = world_->CountryAt(LatLon{r.lat, r.lon});
-      ++stats_.located_by_changeset;
+      ++stats->located_by_changeset;
     } else {
       r.country = kZoneUnknown;
-      ++stats_.unlocated;
+      ++stats->unlocated;
     }
   }
 
   out->push_back(r);
-  ++stats_.records_emitted;
+  ++stats->records_emitted;
 }
 
 }  // namespace rased

@@ -1,10 +1,12 @@
 #ifndef RASED_COLLECT_MONTHLY_CRAWLER_H_
 #define RASED_COLLECT_MONTHLY_CRAWLER_H_
 
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "collect/changeset_store.h"
+#include "collect/chunked_crawl.h"
 #include "collect/crawl_stats.h"
 #include "collect/update_record.h"
 #include "geo/world_map.h"
@@ -29,7 +31,7 @@ namespace rased {
 /// on.
 class MonthlyCrawler {
  public:
-  MonthlyCrawler(const WorldMap* world, RoadTypeTable* road_types)
+  MonthlyCrawler(const WorldMap* world, const RoadTypeTable* road_types)
       : world_(world), road_types_(road_types) {}
 
   /// Crawls a full-history document, emitting one tuple per element
@@ -43,16 +45,51 @@ class MonthlyCrawler {
                       const DateRange& window,
                       std::vector<UpdateRecord>* out);
 
+  /// The same crawl, with the history cut where the element changes
+  /// (SplitHistory) and the fragments crawled at once on `pool`. `parts`
+  /// gets one vector per fragment, in file order; together they hold what
+  /// CrawlHistory emits. If CrawlHistoryFragments fails, the serial crawl
+  /// runs again into parts[0] and its status is returned.
+  Status CrawlHistory(std::string_view history_xml,
+                      const ChangesetStore& changesets,
+                      const DateRange& window, CrawlPool* pool,
+                      std::vector<std::vector<UpdateRecord>>* parts);
+
+  /// Crawls the given fragments of one history document on `pool`, with
+  /// no serial re-run. It fails when any fragment fails, and at a seam
+  /// where the last version of one fragment and the first of the next
+  /// belong to the same element: there the serial crawl would have
+  /// compared the two versions, and the chunked one would call the second
+  /// a create. stats() moves only on success.
+  Status CrawlHistoryFragments(std::span<const std::string_view> fragments,
+                               const ChangesetStore& changesets,
+                               const DateRange& window, CrawlPool* pool,
+                               std::vector<std::vector<UpdateRecord>>* parts);
+
   const CrawlStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CrawlStats{}; }
 
  private:
+  /// The elements of a fragment's first and last versions.
+  struct Ends {
+    bool any = false;
+    ElementType first_type = ElementType::kNode;
+    int64_t first_id = 0;
+    ElementType last_type = ElementType::kNode;
+    int64_t last_id = 0;
+  };
+
+  /// Crawls one fragment, touching nothing but its arguments.
+  Status CrawlFragment(std::string_view xml, XmlFragment where,
+                       const ChangesetStore& changesets,
+                       const DateRange& window, std::vector<UpdateRecord>* out,
+                       CrawlStats* stats, Ends* ends) const;
   void Emit(const ElementVersion& current, const ElementVersion* previous,
             const ChangesetStore& changesets, const DateRange& window,
-            std::vector<UpdateRecord>* out);
+            std::vector<UpdateRecord>* out, CrawlStats* stats) const;
 
   const WorldMap* world_;
-  RoadTypeTable* road_types_;
+  const RoadTypeTable* road_types_;
   CrawlStats stats_;
 };
 

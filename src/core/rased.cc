@@ -14,20 +14,28 @@ std::string Rased::MetaPath(const std::string& dir) {
   return env::JoinPath(dir, "rased.meta");
 }
 
+namespace {
+
+constexpr std::string_view kMetaHeader = "rased-meta v2";
+
+/// "roadtypes <names> <hash>": road-type ids are cube coordinates, so a
+/// reopen must name them alike.
+std::string RoadTypesLine(const RoadTypeTable& road_types) {
+  return StrFormat("roadtypes %zu %016llx", road_types.size(),
+                   static_cast<unsigned long long>(road_types.Fingerprint()));
+}
+
+}  // namespace
+
 Status Rased::SaveMeta() const {
-  std::string out = "rased-meta v1\n";
+  std::string out = std::string(kMetaHeader) + "\n";
   out += StrFormat("schema %u %u %u %u\n", options_.schema.num_element_types,
                    options_.schema.num_countries,
                    options_.schema.num_road_types,
                    options_.schema.num_update_types);
   out += StrFormat("levels %d\n", options_.num_levels);
   out += StrFormat("warehouse %d\n", options_.enable_warehouse ? 1 : 0);
-  // Interned road types are cube coordinates; restarts must reproduce the
-  // id assignment exactly.
-  for (size_t i = 0; i < road_types_->size(); ++i) {
-    out += StrFormat("roadtype %zu %s\n", i,
-                     road_types_->Name(static_cast<RoadTypeId>(i)).c_str());
-  }
+  out += RoadTypesLine(*road_types_) + "\n";
   // Country road-network sizes (Percentage(*) denominators); aggregates
   // are derived on load.
   for (ZoneId id : world_->country_ids()) {
@@ -44,14 +52,13 @@ Status Rased::LoadMeta() {
   RASED_ASSIGN_OR_RETURN(std::string contents,
                          env::ReadFile(MetaPath(options_.dir)));
   std::vector<std::string> lines = Split(contents, '\n');
-  if (lines.empty() || lines[0] != "rased-meta v1") {
+  if (lines.empty() || lines[0] != kMetaHeader) {
     return Status::Corruption("bad rased.meta header in " + options_.dir);
   }
+  bool road_types_checked = false;
   for (size_t i = 1; i < lines.size(); ++i) {
     std::string_view line = Trim(lines[i]);
     if (line.empty()) continue;
-    // roadtype values may contain no spaces (highway tag values), so a
-    // plain split is safe.
     std::vector<std::string> f = Split(line, ' ');
     if (f[0] == "schema" && f.size() == 5) {
       CubeSchema s;
@@ -77,16 +84,15 @@ Status Rased::LoadMeta() {
       }
     } else if (f[0] == "warehouse" && f.size() == 2) {
       // Informational; the index/warehouse files themselves decide.
-    } else if (f[0] == "roadtype" && f.size() == 3) {
-      RASED_ASSIGN_OR_RETURN(uint64_t id, ParseUint(f[1]));
-      RoadTypeId got = road_types_->Intern(f[2]);
-      if (id <= 1) continue;  // "(none)"/"other" are structural
-      if (got != static_cast<RoadTypeId>(id)) {
-        return Status::Corruption(
-            StrFormat("road type '%s' restored as id %u, expected %llu",
-                      f[2].c_str(), got,
-                      static_cast<unsigned long long>(id)));
+    } else if (f[0] == "roadtypes" && f.size() == 3) {
+      const std::string want = RoadTypesLine(*road_types_);
+      if (line != want) {
+        return Status::InvalidArgument(
+            "rased.meta in " + options_.dir + " records the road-type list '" +
+            std::string(line) + "', this build has '" + want +
+            "': its cubes are keyed by other road-type ids");
       }
+      road_types_checked = true;
     } else if (f[0] == "zonesize" && f.size() == 3) {
       RASED_ASSIGN_OR_RETURN(uint64_t id, ParseUint(f[1]));
       RASED_ASSIGN_OR_RETURN(uint64_t size, ParseUint(f[2]));
@@ -98,13 +104,17 @@ Status Rased::LoadMeta() {
       return Status::Corruption("bad rased.meta line: " + std::string(line));
     }
   }
+  if (!road_types_checked) {
+    return Status::Corruption("rased.meta in " + options_.dir +
+                              " records no road-type list");
+  }
   return Status::OK();
 }
 
 Result<RasedOptions> Rased::LoadOptions(const std::string& dir) {
   RASED_ASSIGN_OR_RETURN(std::string contents, env::ReadFile(MetaPath(dir)));
   std::vector<std::string> lines = Split(contents, '\n');
-  if (lines.empty() || lines[0] != "rased-meta v1") {
+  if (lines.empty() || lines[0] != kMetaHeader) {
     return Status::Corruption("bad rased.meta header in " + dir);
   }
   RasedOptions options;
@@ -166,6 +176,7 @@ Status Rased::InitComponents(bool create) {
   world_ = std::make_unique<WorldMap>(options_.schema.num_countries);
   road_types_ =
       std::make_unique<RoadTypeTable>(options_.schema.num_road_types);
+  crawl_pool_ = std::make_unique<CrawlPool>();
 
   TemporalIndexOptions index_options;
   index_options.schema = options_.schema;
@@ -205,37 +216,45 @@ Status Rased::IngestDailyArtifacts(Date day, std::string_view osc_xml,
                                    std::string_view changesets_xml) {
   MutexLock lock(&ingest_mu_);
   ChangesetStore changesets;
-  RASED_RETURN_IF_ERROR(changesets.AddFromXml(changesets_xml));
+  RASED_RETURN_IF_ERROR(
+      changesets.AddFromXml(changesets_xml, crawl_pool_.get()));
   DailyCrawler crawler(world_.get(), road_types_.get(), metrics_);
-  std::vector<UpdateRecord> records;
-  RASED_RETURN_IF_ERROR(crawler.CrawlDiff(osc_xml, changesets, &records));
-  return IngestDayRecordsLocked(day, records);
+  std::vector<std::vector<UpdateRecord>> parts;
+  RASED_RETURN_IF_ERROR(
+      crawler.CrawlDiff(osc_xml, changesets, crawl_pool_.get(), &parts));
+  return IngestDayRecordsLocked(day, parts);
 }
 
 Status Rased::IngestDayRecords(Date day,
                                const std::vector<UpdateRecord>& records) {
   MutexLock lock(&ingest_mu_);
-  return IngestDayRecordsLocked(day, records);
+  return IngestDayRecordsLocked(day, {&records, 1});
 }
 
 Status Rased::IngestDayRecordsLocked(
-    Date day, const std::vector<UpdateRecord>& records) {
+    Date day, std::span<const std::vector<UpdateRecord>> parts) {
   std::vector<CubeCell> pairs;
-  for (const UpdateRecord& r : records) {
-    if (r.date != day) {
-      return Status::InvalidArgument(
-          "record dated " + r.date.ToString() +
-          " in ingest for " + day.ToString());
+  size_t records = 0;
+  for (const std::vector<UpdateRecord>& part : parts) {
+    for (const UpdateRecord& r : part) {
+      if (r.date != day) {
+        return Status::InvalidArgument(
+            "record dated " + r.date.ToString() +
+            " in ingest for " + day.ToString());
+      }
+      builder_->AddRecord(r, &pairs);
     }
-    builder_->AddRecord(r, &pairs);
+    records += part.size();
   }
   RASED_RETURN_IF_ERROR(index_->AppendDay(
       day, SparseCube::FromPairs(options_.schema, std::move(pairs))));
   if (warehouse_ != nullptr) {
-    RASED_RETURN_IF_ERROR(warehouse_->Append(records));
+    for (const std::vector<UpdateRecord>& part : parts) {
+      RASED_RETURN_IF_ERROR(warehouse_->Append(part));
+    }
   }
   ingest_metrics_.days->Increment();
-  ingest_metrics_.records->Increment(records.size());
+  ingest_metrics_.records->Increment(records);
   return RefreshCacheLocked();
 }
 
@@ -251,15 +270,16 @@ Status Rased::ApplyMonthlyArtifacts(Date month_start,
                                     std::string_view changesets_xml) {
   MutexLock lock(&ingest_mu_);
   ChangesetStore changesets;
-  RASED_RETURN_IF_ERROR(changesets.AddFromXml(changesets_xml));
-  MonthlyCrawler crawler(world_.get(), road_types_.get());
-  std::vector<UpdateRecord> records;
-  DateRange month(month_start, month_start.month_end());
   RASED_RETURN_IF_ERROR(
-      crawler.CrawlHistory(history_xml, changesets, month, &records));
+      changesets.AddFromXml(changesets_xml, crawl_pool_.get()));
+  MonthlyCrawler crawler(world_.get(), road_types_.get());
+  std::vector<std::vector<UpdateRecord>> parts;
+  DateRange month(month_start, month_start.month_end());
+  RASED_RETURN_IF_ERROR(crawler.CrawlHistory(history_xml, changesets, month,
+                                             crawl_pool_.get(), &parts));
 
   // One cube per day of the month (empty cubes for quiet days).
-  std::map<Date, SparseCube> by_day = builder_->BuildSparseDailyCubes(records);
+  std::map<Date, SparseCube> by_day = builder_->BuildSparseDailyCubes(parts);
   std::vector<SparseCube> cubes;
   cubes.reserve(static_cast<size_t>(month.num_days()));
   for (Date d = month.first; d <= month.last; d = d.next()) {

@@ -2,6 +2,7 @@
 #define RASED_CORE_RASED_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,7 +161,7 @@ class Rased {
 
   const WorldMap& world() const { return *world_; }
   WorldMap* mutable_world() { return world_.get(); }
-  RoadTypeTable* road_types() const { return road_types_.get(); }
+  const RoadTypeTable* road_types() const { return road_types_.get(); }
   const TemporalIndex* index() const { return index_.get(); }
   TemporalIndex* index() { return index_.get(); }
   CubeCache* cache() const { return cache_.get(); }
@@ -182,9 +183,10 @@ class Rased {
     return world_->FindByName(name);
   }
 
-  /// Resolves a road type by highway value ("residential").
-  RoadTypeId RoadTypeIdFor(std::string_view highway) {
-    return road_types_->Intern(highway);
+  /// Resolves a road type by highway value ("residential"); a value the
+  /// table does not hold is "other".
+  RoadTypeId RoadTypeIdFor(std::string_view highway) const {
+    return road_types_->Lookup(highway);
   }
 
   Status Sync() RASED_EXCLUDES(ingest_mu_);
@@ -196,26 +198,28 @@ class Rased {
 
   /// Bodies shared by the public entry points (the public wrappers take
   /// the ingest mutex once; pipelines compose these without re-acquiring).
-  Status IngestDayRecordsLocked(Date day,
-                                const std::vector<UpdateRecord>& records)
+  /// `parts` are one crawl's tuples in parts (CrawlPool fragments), in
+  /// order; they are consumed where they lie, never concatenated.
+  Status IngestDayRecordsLocked(
+      Date day, std::span<const std::vector<UpdateRecord>> parts)
       RASED_REQUIRES(ingest_mu_);
   /// CubeCache::Warm after a publication: once warmed, or always for kLru.
   Status RefreshCacheLocked() RASED_REQUIRES(ingest_mu_);
 
-  /// rased.meta persistence: structural options plus the mutable lookup
-  /// state that must survive restarts — interned road types (cube
-  /// coordinates!) and per-country road-network sizes (Percentage
-  /// denominators). Saved on Create and Sync, loaded on Open.
+  /// rased.meta persistence: structural options, the road-type table's
+  /// fingerprint (its ids are cube coordinates, so Open refuses a table
+  /// that names them otherwise), and per-country road-network sizes
+  /// (Percentage denominators). Saved on Create and Sync, loaded on Open.
   Status SaveMeta() const;
   Status LoadMeta();
   static std::string MetaPath(const std::string& dir);
 
   /// Serializes the write side only (ingestion pipelines, WarmCache,
   /// Sync): crawls stay ordered, the warehouse appends in day order, and
-  /// rased.meta snapshots a quiescent road-type table. Queries never touch
-  /// it — the read side is lock-free via catalog snapshots (MVCC), so this
-  /// mutex is ordered before the component locks (index maintenance,
-  /// cache, road-type table) but never interacts with readers at all.
+  /// the crawl pool has one caller. Queries never touch it — the read side
+  /// is lock-free via catalog snapshots (MVCC), so this mutex is ordered
+  /// before the component locks (index maintenance, cache, crawl pool) but
+  /// never interacts with readers at all.
   mutable Mutex ingest_mu_;
 
   bool cache_warmed_ RASED_GUARDED_BY(ingest_mu_) = false;
@@ -246,6 +250,10 @@ class Rased {
   std::unique_ptr<CubeCache> cache_ RASED_CONST_AFTER_INIT;
   std::unique_ptr<QueryExecutor> executor_ RASED_CONST_AFTER_INIT;
   std::unique_ptr<Warehouse> warehouse_ RASED_CONST_AFTER_INIT;
+  /// Crawls each day's diff and changesets and each month's history in
+  /// fragments (DESIGN.md §11.7); its helper threads start at the first
+  /// chunked crawl. Used under ingest_mu_ only.
+  std::unique_ptr<CrawlPool> crawl_pool_ RASED_CONST_AFTER_INIT;
 };
 
 }  // namespace rased

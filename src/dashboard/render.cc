@@ -322,8 +322,6 @@ std::vector<std::string> RenderTimelapse(const QueryResult& result,
   return frames;
 }
 
-namespace {
-
 void AppendCsvField(std::string* out, std::string_view field) {
   bool needs_quoting = field.find_first_of(",\"\n\r") != std::string_view::npos;
   if (!needs_quoting) {
@@ -337,8 +335,6 @@ void AppendCsvField(std::string* out, std::string_view field) {
   }
   out->push_back('"');
 }
-
-}  // namespace
 
 std::string RenderCsv(const QueryResult& result, const AnalysisQuery& query,
                       const RenderContext& ctx) {

@@ -68,6 +68,10 @@ std::vector<std::string> RenderTimelapse(const QueryResult& result,
 std::string RenderJson(const QueryResult& result, const AnalysisQuery& query,
                        const RenderContext& ctx);
 
+/// Appends one CSV field, quoted RFC-4180-style when it holds a comma, a
+/// quote or a line break.
+void AppendCsvField(std::string* out, std::string_view field);
+
 /// CSV export (header + one line per row; RFC-4180-style quoting). The
 /// format map analysts feed into spreadsheets and notebooks.
 std::string RenderCsv(const QueryResult& result, const AnalysisQuery& query,

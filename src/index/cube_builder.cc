@@ -55,9 +55,11 @@ SparseCube CubeBuilder::BuildSparseCube(
 }
 
 std::map<Date, SparseCube> CubeBuilder::BuildSparseDailyCubes(
-    const std::vector<UpdateRecord>& records) const {
+    std::span<const std::vector<UpdateRecord>> parts) const {
   std::map<Date, std::vector<CubeCell>> pairs;
-  for (const UpdateRecord& r : records) AddRecord(r, &pairs[r.date]);
+  for (const std::vector<UpdateRecord>& part : parts) {
+    for (const UpdateRecord& r : part) AddRecord(r, &pairs[r.date]);
+  }
   std::map<Date, SparseCube> cubes;
   for (auto& [day, day_pairs] : pairs) {
     cubes.emplace(day, SparseCube::FromPairs(schema_, std::move(day_pairs)));

@@ -2,6 +2,7 @@
 #define RASED_INDEX_CUBE_BUILDER_H_
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "collect/update_record.h"
@@ -46,7 +47,12 @@ class CubeBuilder {
   /// Groups records by date into per-day cubes (missing days absent) — the
   /// monthly rebuild path.
   std::map<Date, SparseCube> BuildSparseDailyCubes(
-      const std::vector<UpdateRecord>& records) const;
+      const std::vector<UpdateRecord>& records) const {
+    return BuildSparseDailyCubes({&records, 1});
+  }
+  /// The same over one crawl's tuples in parts, taken in order.
+  std::map<Date, SparseCube> BuildSparseDailyCubes(
+      std::span<const std::vector<UpdateRecord>> parts) const;
 
   /// Dense images of BuildSparseCube / BuildSparseDailyCubes.
   DataCube BuildCube(const std::vector<UpdateRecord>& records) const;

@@ -136,6 +136,19 @@ class CatalogSnapshot {
   /// The most recent `n` keys of a level (newest last), for cache warmup.
   std::vector<CubeKey> LatestKeys(Level level, size_t n) const;
 
+  /// Walks the keys of `level` newest first with their locations, calling
+  /// visit(key, loc) until it returns false. One pass over the level's
+  /// map: no key is looked up again.
+  template <typename Visit>
+  void ForEachNewest(Level level, Visit&& visit) const {
+    if (version_ == nullptr) return;
+    const auto& map = version_->levels[static_cast<int>(level)];
+    if (map == nullptr) return;
+    for (auto it = map->rbegin(); it != map->rend(); ++it) {
+      if (!visit(CubeKey{level, it->first}, it->second)) return;
+    }
+  }
+
   /// Days covered by this version ([first appended, last appended]).
   DateRange coverage() const;
 

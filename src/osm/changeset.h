@@ -62,8 +62,10 @@ class ChangesetReader {
  public:
   using Callback = std::function<Status(const Changeset&)>;
 
-  /// Borrows `xml`, which must outlive the reader.
-  explicit ChangesetReader(std::string_view xml) : reader_(xml) {}
+  /// Borrows `xml`, which must outlive the reader. A fragment (see
+  /// XmlFragment) cut at changeset starts reads its changesets.
+  explicit ChangesetReader(std::string_view xml, XmlFragment where = {})
+      : reader_(xml, where, "osm"), in_root_(!where.first) {}
 
   /// Reads the next changeset in file order. Returns false at the end of
   /// the document, an error status at the first malformed input.
@@ -78,7 +80,7 @@ class ChangesetReader {
   Result<bool> NextChangeset(Out* out);
 
   XmlReader reader_;
-  bool in_root_ = false;
+  bool in_root_;
   bool done_ = false;
 };
 

@@ -26,8 +26,10 @@ class HistoryReader {
  public:
   using Callback = std::function<Status(const Element&)>;
 
-  /// Borrows `xml`, which must outlive the reader.
-  explicit HistoryReader(std::string_view xml) : reader_(xml) {}
+  /// Borrows `xml`, which must outlive the reader. A fragment (see
+  /// XmlFragment) cut at element starts reads its elements' versions.
+  explicit HistoryReader(std::string_view xml, XmlFragment where = {})
+      : reader_(xml, where, "osm"), in_root_(!where.first) {}
 
   /// Reads the next element version in file order. Returns false at the
   /// end of the document, an error status at the first malformed input.
@@ -42,7 +44,7 @@ class HistoryReader {
   Result<bool> NextVersion(Out* out);
 
   XmlReader reader_;
-  bool in_root_ = false;
+  bool in_root_;
   bool done_ = false;
 };
 

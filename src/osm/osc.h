@@ -35,8 +35,11 @@ class OscReader {
  public:
   using Callback = std::function<Status(const OsmChange&)>;
 
-  /// Borrows `xml`, which must outlive the reader.
-  explicit OscReader(std::string_view xml) : reader_(xml) {}
+  /// Borrows `xml`, which must outlive the reader. A fragment (see
+  /// XmlFragment) cut at block starts reads its blocks' changes.
+  explicit OscReader(std::string_view xml, XmlFragment where = {})
+      : reader_(xml, where, "osmChange"),
+        state_(where.first ? State::kRoot : State::kBlocks) {}
 
   /// Reads the next change in file order. Returns false at the end of the
   /// document, an error status at the first malformed input.
@@ -56,7 +59,7 @@ class OscReader {
 
   XmlReader reader_;
   enum class State { kRoot, kBlocks, kInBlock, kDone };
-  State state_ = State::kRoot;
+  State state_;
   ChangeAction block_action_ = ChangeAction::kCreate;
 };
 

@@ -1,7 +1,5 @@
 #include "osm/road_types.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace rased {
@@ -38,37 +36,28 @@ RoadTypeTable::RoadTypeTable(size_t capacity) : capacity_(capacity) {
   RASED_CHECK(capacity_ >= 3) << "need room for (none), other, and one type";
   names_.push_back("(none)");  // slot 0: not a road
   names_.push_back("other");   // slot 1: catch-all bucket
-  other_id_ = 1;
   for (const std::string& v : CanonicalHighwayValues()) {
     if (names_.size() >= capacity_) break;
-    index_.emplace(v, static_cast<RoadTypeId>(names_.size()));
     names_.push_back(v);
   }
-}
-
-RoadTypeId RoadTypeTable::Intern(std::string_view highway_value) {
-  if (highway_value.empty()) return kRoadTypeNone;
-  MutexLock lock(&mu_);
-  auto it = index_.find(highway_value);
-  if (it != index_.end()) return it->second;
-  if (names_.size() < capacity_) {
-    RoadTypeId id = static_cast<RoadTypeId>(names_.size());
-    index_.emplace(std::string(highway_value), id);
-    names_.emplace_back(highway_value);
-    return id;
+  // "(none)" is reached only by an empty value, never by name.
+  fingerprint_ = 14695981039346656037ull;
+  for (size_t id = 0; id < names_.size(); ++id) {
+    if (id > 0) index_.emplace(names_[id], static_cast<RoadTypeId>(id));
+    for (char c : names_[id] + '\n') {
+      fingerprint_ ^= static_cast<unsigned char>(c);
+      fingerprint_ *= 1099511628211ull;
+    }
   }
-  return other_id_;
 }
 
 RoadTypeId RoadTypeTable::Lookup(std::string_view highway_value) const {
   if (highway_value.empty()) return kRoadTypeNone;
-  MutexLock lock(&mu_);
   auto it = index_.find(highway_value);
-  return it != index_.end() ? it->second : other_id_;
+  return it != index_.end() ? it->second : kOtherId;
 }
 
-std::string RoadTypeTable::Name(RoadTypeId id) const {
-  MutexLock lock(&mu_);
+const std::string& RoadTypeTable::Name(RoadTypeId id) const {
   RASED_CHECK(id < names_.size()) << "road type id " << id << " out of range";
   return names_[id];
 }

@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/thread_annotations.h"
-
 namespace rased {
 
 /// Integer id of a road type (a value of OSM's highway=* tag). Id 0 is
@@ -21,51 +19,48 @@ inline constexpr RoadTypeId kRoadTypeNone = 0;
 /// RoadTypeTable maps highway=* tag values to the dense RoadType dimension
 /// of the data cubes (Section VI-A lists 150 possible road types).
 ///
-/// The table is pre-seeded with the canonical OSM highway taxonomy
-/// (motorway .. bus_stop) and grows on demand: an unseen highway value is
-/// assigned the next id until `capacity` is reached, after which it falls
-/// into the catch-all "other" bucket. This mirrors how a production RASED
-/// would pin the cube dimension while the OSM folksonomy keeps inventing
-/// values.
+/// The table is fixed when it is constructed: "(none)" (id 0), the
+/// catch-all "other" (id 1), then the canonical OSM highway taxonomy
+/// (motorway .. razed) in its stable order, as far as `capacity` allows.
+/// Every other value, and a canonical value past the capacity, maps to
+/// "other". So an id depends only on the value and the capacity, never on
+/// what was crawled before: a crawl is a pure function of its input, and
+/// the fragments of one document can be crawled at once.
 ///
-/// Threading contract: internally synchronized. Dashboard workers resolve
-/// names (Lookup/Name) concurrently while a crawl thread may be interning
-/// new values; Name therefore returns by value, never a reference into
-/// the growing table.
+/// Threading contract: immutable after construction, so every method is
+/// safe from any thread without a lock.
 class RoadTypeTable {
  public:
   /// `capacity` is the cube dimension size, including slot 0 ("(none)")
   /// and the "other" bucket. The paper uses 150.
   explicit RoadTypeTable(size_t capacity = 150);
 
-  /// Id for a highway tag value, interning it if there is room.
-  RoadTypeId Intern(std::string_view highway_value) RASED_EXCLUDES(mu_);
-
-  /// Id for a value without interning; returns the "other" bucket when the
-  /// value is unknown.
-  RoadTypeId Lookup(std::string_view highway_value) const
-      RASED_EXCLUDES(mu_);
+  /// Id for a highway tag value: kRoadTypeNone for an empty value, the
+  /// "other" bucket for a value the table does not hold.
+  RoadTypeId Lookup(std::string_view highway_value) const;
 
   /// Name for an id ("(none)", "residential", "other", ...).
-  std::string Name(RoadTypeId id) const RASED_EXCLUDES(mu_);
+  const std::string& Name(RoadTypeId id) const;
 
-  /// Number of assigned ids (including "(none)" and "other").
-  size_t size() const RASED_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return names_.size();
-  }
+  /// Number of named ids (including "(none)" and "other"); at most
+  /// capacity().
+  size_t size() const { return names_.size(); }
   size_t capacity() const { return capacity_; }
 
-  RoadTypeId other_id() const { return other_id_; }
+  RoadTypeId other_id() const { return kOtherId; }
+
+  /// FNV-1a hash of the names in id order. rased.meta records it, so an
+  /// index is never opened against a table that keys its cells otherwise.
+  uint64_t Fingerprint() const { return fingerprint_; }
 
   /// The canonical seed taxonomy (without "(none)"/"other"), in seed order.
   static const std::vector<std::string>& CanonicalHighwayValues();
 
  private:
+  static constexpr RoadTypeId kOtherId = 1;
+
   const size_t capacity_;
-  /// Guards the growing name table; held only for map/vector surgery.
-  mutable Mutex mu_;
-  std::vector<std::string> names_ RASED_GUARDED_BY(mu_);
+  std::vector<std::string> names_;
   /// Hashes std::string and std::string_view alike, so lookups by view
   /// build no std::string.
   struct NameHash {
@@ -75,8 +70,8 @@ class RoadTypeTable {
     }
   };
   std::unordered_map<std::string, RoadTypeId, NameHash, std::equal_to<>>
-      index_ RASED_GUARDED_BY(mu_);
-  RoadTypeId other_id_ RASED_CONST_AFTER_INIT;  // fixed in the constructor
+      index_;
+  uint64_t fingerprint_ = 0;
 };
 
 }  // namespace rased

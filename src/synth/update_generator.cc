@@ -55,7 +55,7 @@ OsmTimestamp TimestampFor(Date day, size_t idx, size_t total) {
 
 UpdateGenerator::UpdateGenerator(const SynthOptions& options,
                                  const WorldMap* world,
-                                 RoadTypeTable* road_types)
+                                 const RoadTypeTable* road_types)
     : options_(options),
       world_(world),
       road_types_(road_types),

@@ -41,7 +41,7 @@ class UpdateGenerator {
   /// The world map must have num_zones() matching the intended cube
   /// schema; `road_types` is shared with the crawlers so ids agree.
   UpdateGenerator(const SynthOptions& options, const WorldMap* world,
-                  RoadTypeTable* road_types);
+                  const RoadTypeTable* road_types);
 
   const ActivityModel& activity() const { return activity_; }
 
@@ -61,7 +61,7 @@ class UpdateGenerator {
 
   SynthOptions options_;
   const WorldMap* world_;
-  RoadTypeTable* road_types_;
+  const RoadTypeTable* road_types_;
   ActivityModel activity_;
 };
 

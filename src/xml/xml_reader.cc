@@ -45,7 +45,19 @@ bool IsAllWhitespace(std::string_view s) {
 
 }  // namespace
 
-XmlReader::XmlReader(std::string_view input) : input_(input) {}
+XmlReader::XmlReader(std::string_view input, XmlFragment where,
+                     std::string_view root)
+    : input_(input), where_(where) {
+  if (!where_.first) open_elements_.push_back(root);
+}
+
+Status XmlReader::PopElement() {
+  if (!where_.last && open_elements_.size() == 1) {
+    return ParseError("root element closed before the last fragment");
+  }
+  open_elements_.pop_back();
+  return Status::OK();
+}
 
 int XmlReader::line() const {
   return 1 + static_cast<int>(std::count(
@@ -231,12 +243,20 @@ Result<XmlEvent> XmlReader::Next() {
   if (pending_end_) {
     pending_end_ = false;
     name_ = open_elements_.back();
-    open_elements_.pop_back();
+    RASED_RETURN_IF_ERROR(PopElement());
     return XmlEvent::kEndElement;
   }
   for (;;) {
     if (pos_ >= input_.size()) {
-      if (!open_elements_.empty()) return ParseError("unexpected end of input");
+      // A fragment before the last ends with the root, and only the root,
+      // open; the whole document (or its last fragment) with none.
+      const size_t open_at_end = where_.last ? 0 : 1;
+      if (open_elements_.size() > open_at_end) {
+        return ParseError("unexpected end of input");
+      }
+      if (open_elements_.size() < open_at_end) {
+        return ParseError("fragment ends outside the root element");
+      }
       return XmlEvent::kEof;
     }
     if (input_[pos_] != '<') {
@@ -286,7 +306,7 @@ Result<XmlEvent> XmlReader::Next() {
                           ">, expected </" +
                           std::string(open_elements_.back()) + ">");
       }
-      open_elements_.pop_back();
+      RASED_RETURN_IF_ERROR(PopElement());
       name_ = name;
       return XmlEvent::kEndElement;
     }
@@ -311,8 +331,7 @@ const std::string_view* XmlReader::FindAttr(std::string_view attr_name) const {
 Status XmlReader::SkipElement() {
   if (pending_end_) {
     pending_end_ = false;
-    open_elements_.pop_back();
-    return Status::OK();
+    return PopElement();
   }
   const ptrdiff_t target = static_cast<ptrdiff_t>(open_elements_.size()) - 1;
   while (static_cast<ptrdiff_t>(open_elements_.size()) > target) {

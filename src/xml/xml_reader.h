@@ -26,6 +26,19 @@ enum class XmlEvent {
   kEof,           ///< end of input
 };
 
+/// Where a fragment lies in its document. A document cut at the starts of
+/// children of its root element reads as a run of fragments, each a view
+/// into it: the first holds the prolog and the root's start tag, the last
+/// the root's end tag, and every fragment is read as a run of the root's
+/// content.
+struct XmlFragment {
+  bool first = true;  ///< begins at the start of the document
+  bool last = true;   ///< ends at the end of the document
+
+  /// Fragment `i` of `n`.
+  static XmlFragment Of(size_t i, size_t n) { return {i == 0, i + 1 == n}; }
+};
+
 /// Minimal non-validating XML pull parser.
 ///
 /// Scope: exactly what the OSM planet formats need — elements, attributes,
@@ -42,9 +55,19 @@ enum class XmlEvent {
 /// buffer the reader owns and reuses. Every view stays valid until the
 /// next Next()/SkipElement(). The reader borrows the input buffer; it must
 /// outlive the reader and every view taken from it.
+///
+/// A fragment reader (see XmlFragment) starts inside a root element named
+/// `root` unless it is the first, and reports kEof at its end unless it is
+/// the last, provided the root alone is open there. It fails wherever the
+/// whole document would have gone on differently at the fragment's edge:
+/// a fragment that ends inside a child, a comment or a tag, ends before
+/// the root opened, or closes the root before the last fragment. So a cut
+/// anywhere but between two children of the root shows as an error.
 class XmlReader {
  public:
-  explicit XmlReader(std::string_view input);
+  explicit XmlReader(std::string_view input) : XmlReader(input, {}, {}) {}
+  /// `root` must outlive the reader.
+  XmlReader(std::string_view input, XmlFragment where, std::string_view root);
 
   // Decoded views point into the reader's own buffer, so a copy or a move
   // would leave them pointing at the original.
@@ -77,6 +100,9 @@ class XmlReader {
 
  private:
   Status ParseError(std::string_view what) const;
+  /// Pops the innermost open element; an error when that would close the
+  /// root of a fragment that is not the last.
+  Status PopElement();
   void SkipWhitespace();
   bool ConsumePrefix(std::string_view prefix);
   Status SkipUntil(std::string_view terminator);
@@ -88,6 +114,7 @@ class XmlReader {
 
   std::string_view input_;
   size_t pos_ = 0;
+  XmlFragment where_;
 
   std::string_view name_;
   std::vector<XmlAttr> attrs_;

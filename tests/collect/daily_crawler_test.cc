@@ -130,16 +130,23 @@ TEST_F(DailyCrawlerTest, NonRoadElementsKeepNoneRoadType) {
   EXPECT_EQ(out[0].road_type, kRoadTypeNone);
 }
 
-TEST_F(DailyCrawlerTest, NewHighwayValuesGetInterned) {
+// The road-type table is fixed at create: a value it does not hold is
+// "other", and highway=other is the "other" slot itself, id 1.
+TEST_F(DailyCrawlerTest, UnknownHighwayValuesMapToOther) {
   OscWriter osc;
   osc.Add(ChangeAction::kCreate, NodeIn("Japan", 3, "quantum_expressway"));
+  osc.Add(ChangeAction::kCreate, NodeIn("Japan", 3, "other"));
   ChangesetStore changesets;
 
   DailyCrawler crawler(&world_, &road_types_);
   std::vector<UpdateRecord> out;
+  const size_t names = road_types_.size();
   ASSERT_TRUE(crawler.CrawlDiff(osc.Finish(), changesets, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(road_types_.Name(out[0].road_type), "quantum_expressway");
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].road_type, road_types_.other_id());
+  EXPECT_EQ(out[1].road_type, 1);
+  EXPECT_EQ(road_types_.other_id(), 1);
+  EXPECT_EQ(road_types_.size(), names);
 }
 
 TEST_F(DailyCrawlerTest, StatsAccumulateAcrossCrawls) {

@@ -74,7 +74,7 @@ TEST_F(PaperRateCrawlTest, CrawledTuplesHashIsPinned) {
 
   EXPECT_EQ(daily_records, records.size());
   EXPECT_EQ(records.size(), 17883u);
-  EXPECT_EQ(hash, 6225477504006772729ull);
+  EXPECT_EQ(hash, 4295855666322455897ull);
 }
 
 // The crawl's allocations follow the tuples it emits, not the XML bytes it
@@ -84,8 +84,6 @@ TEST_F(PaperRateCrawlTest, DayCrawlAllocationsAreBounded) {
   UpdateGenerator gen(options_, &world_, &road_types_);
   const Date day = Date::FromYmd(2020, 6, 15);
   DayArtifacts artifacts = gen.GenerateDayArtifacts(day);
-  // Intern the day's road types first, as any earlier day would have.
-  ASSERT_FALSE(gen.GenerateDayRecords(day).empty());
 
   uint64_t alloc_ops = 0;
   size_t records_emitted = 0;

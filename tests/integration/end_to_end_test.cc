@@ -275,5 +275,39 @@ TEST_F(EndToEndTest, ReopenedSystemServesQueries) {
   EXPECT_EQ(samples.value().size(), 10u);
 }
 
+// Road-type ids are cube coordinates: rased.meta records the table's list
+// (its size and hash), and a directory written with another list does not
+// open.
+TEST_F(EndToEndTest, OpenRefusesAnotherRoadTypeList) {
+  RasedOptions options;
+  options.dir = env::JoinPath(dir_.path(), "roadtypes");
+  options.schema = CubeSchema::BenchScale();
+  ASSERT_TRUE(Rased::Create(options).ok());
+  const std::string meta_path = env::JoinPath(options.dir, "rased.meta");
+  auto meta = env::ReadFile(meta_path);
+  ASSERT_TRUE(meta.ok());
+  const size_t at = meta.value().find("roadtypes ");
+  ASSERT_NE(at, std::string::npos) << meta.value();
+  ASSERT_TRUE(Rased::Open(options).ok());
+
+  std::string forged = meta.value();
+  const size_t line_end = forged.find('\n', at);
+  forged.replace(at, line_end - at, "roadtypes 58 0123456789abcdef");
+  ASSERT_TRUE(env::WriteFileAtomic(meta_path, forged).ok());
+  auto reopened = Rased::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().ToString().find("road-type list"),
+            std::string::npos)
+      << reopened.status().ToString();
+
+  forged.erase(at, line_end - at + 1);
+  ASSERT_TRUE(env::WriteFileAtomic(meta_path, forged).ok());
+  reopened = Rased::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().ToString().find("road-type list"),
+            std::string::npos)
+      << reopened.status().ToString();
+}
+
 }  // namespace
 }  // namespace rased

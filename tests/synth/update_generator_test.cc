@@ -98,15 +98,8 @@ void ExpectDayRoundTripsThroughCrawler(const UpdateGenerator& gen,
     EXPECT_EQ(crawled[i].element_type, direct[i].element_type);
     EXPECT_EQ(crawled[i].date, direct[i].date);
     EXPECT_EQ(crawled[i].country, direct[i].country) << i;
-    // The highway value always round-trips. The id does too, except for
-    // the catch-all "other" bucket: RoadTypeTable does not index its own
-    // "other" name, so where the table still has room a crawled
-    // highway=other is interned as a new id.
-    EXPECT_EQ(road_types->Name(crawled[i].road_type),
-              road_types->Name(direct[i].road_type));
-    if (direct[i].road_type != road_types->other_id()) {
-      EXPECT_EQ(crawled[i].road_type, direct[i].road_type);
-    }
+    // The road type round-trips, the catch-all "other" included.
+    EXPECT_EQ(crawled[i].road_type, direct[i].road_type);
     EXPECT_EQ(crawled[i].changeset_id, direct[i].changeset_id);
     // Classification is provisional: new stays new, the rest collapse.
     if (direct[i].update_type == UpdateType::kNew) {

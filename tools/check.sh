@@ -383,10 +383,10 @@ run_matrix_entry "asan+ubsan" "${PREFIX}-asan" "" \
 # TSan: the concurrency-sensitive suites. These are the classes that got
 # locks/annotations in the correctness-tooling pass, plus the
 # observability suites (registry hammer, trace ring, /metrics endpoint);
-# a race anywhere in them must surface here. The selection lives in
-# tools/tsan_tests.regex, which CI's TSan step reads too.
+# a race anywhere in them must surface here. The selection is the ctest
+# label `tsan` (tests/CMakeLists.txt), which CI's TSan step runs too.
 run_matrix_entry "tsan" "${PREFIX}-tsan" \
-  "-R $(cat tools/tsan_tests.regex)" \
+  "-L tsan" \
   "-DRASED_SANITIZE=thread"
 
 # ----------------------------------------------------------------- gate ---
