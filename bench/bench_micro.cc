@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for RASED's hot primitives:
-// cube operations, record codec, the crawl path (changeset store, daily
-// diff and monthly history crawls at the paper rate), the cache refresh
-// that follows each publication, zone lookup, CRC, and date arithmetic.
+// cube operations, the encoded-cube fold of each dashboard panel, record
+// codec, the crawl path (changeset store, daily diff and monthly history
+// crawls at the paper rate), the cache refresh that follows each
+// publication, zone lookup, CRC, and date arithmetic.
 
 #include <benchmark/benchmark.h>
 
 #include "cache/cube_cache.h"
 #include "collect/daily_crawler.h"
 #include "collect/monthly_crawler.h"
+#include "cube/cube_codec.h"
 #include "cube/data_cube.h"
 #include "geo/world_map.h"
 #include "index/cube_builder.h"
@@ -75,6 +77,107 @@ void BM_CubeSliceSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CubeSliceSum);
+
+// Ninety synthesized paper-rate days (500 updates a day, seed 1, from
+// 2020-09-02), the window of the dashboard's series panel, as encoded
+// cubes at the paper-scale schema or the bench schema, with the world and
+// road types sized to match. Folding them in turn keeps the branch
+// predictor from learning the cubes' cells by heart, which a fold of one
+// cube, or of a few, repeated lets it do.
+struct FoldDays {
+  explicit FoldDays(const CubeSchema& schema)
+      : schema(schema),
+        world(schema.num_countries),
+        roads(schema.num_road_types) {
+    SynthOptions options;
+    options.seed = 1;
+    options.base_updates_per_day = 500.0;
+    options.period = DateRange(Date::FromYmd(2020, 1, 1),
+                               Date::FromYmd(2021, 12, 31));
+    UpdateGenerator gen(options, &world, &roads);
+    CubeBuilder builder(schema, &world);
+    for (int i = 0; i < 90; ++i) {
+      SparseCube cube = builder.BuildSparseCube(
+          gen.GenerateDayRecords(Date::FromYmd(2020, 9, 2).AddDays(i)));
+      cells += cube.nnz();
+      cubes.push_back(EncodedCube::Encode(cube));
+      RASED_CHECK(cubes.back().encoding() == CubeEncoding::kSparseCoo);
+      body_bytes += cubes.back().body_bytes();
+    }
+  }
+
+  CubeSchema schema;
+  WorldMap world;
+  RoadTypeTable roads;
+  std::vector<EncodedCube> cubes;
+  size_t cells = 0, body_bytes = 0;  // over all the cubes
+};
+
+// The dashboard's four query panels (dashbench/workload.cc) as the slice
+// and GROUP BY each folds a cube through: the 90-day series (no cell
+// dimension grouped; the date comes from the cube), the choropleth
+// (country), the histogram (road type x update type) and the one-country
+// detail (update type). Unfiltered countries range over the default
+// partition the executor uses: the unknown bucket plus every country.
+enum FoldPanel { kSeries, kChoropleth, kHistogram, kDetail };
+
+// Folds one encoded daily cube per iteration into its panel's
+// accumulator, through the SliceLuts a query builds once; reports
+// microseconds per cube and nanoseconds per non-zero cell.
+void BM_FoldEncoded(benchmark::State& state, FoldPanel panel, bool paper) {
+  static FoldDays* paper_days = new FoldDays(CubeSchema::PaperScale());
+  static FoldDays* bench_days = new FoldDays(CubeSchema::BenchScale());
+  const FoldDays& days = paper ? *paper_days : *bench_days;
+  CubeSlice slice;
+  GroupBySpec spec;
+  if (panel == kDetail) {
+    slice.countries = {days.world.country_ids().front()};
+    spec.update_type = true;
+  } else {
+    slice.countries.push_back(kZoneUnknown);
+    for (ZoneId id : days.world.country_ids()) slice.countries.push_back(id);
+    spec.country = panel == kChoropleth;
+    spec.road_type = spec.update_type = panel == kHistogram;
+  }
+  slice.Normalize();
+  const SliceLuts luts(days.schema, slice, spec);
+  std::vector<uint64_t> acc(GroupAccumulatorSize(days.schema, spec), 0);
+  size_t i = 0;
+  const int64_t start = NowMicros();
+  for (auto _ : state) {
+    const EncodedCube& cube = days.cubes[i++ % days.cubes.size()];
+    Status s = AccumulateEncodedSlice(luts, cube.encoding(), cube.body(),
+                                      cube.body_bytes(), acc.data());
+    benchmark::DoNotOptimize(s);
+    benchmark::ClobberMemory();
+  }
+  const double ns_per_cube = 1e3 * static_cast<double>(NowMicros() - start) /
+                             static_cast<double>(state.iterations());
+  const double cubes = static_cast<double>(days.cubes.size());
+  state.counters["us_per_cube"] = ns_per_cube / 1e3;
+  state.counters["ns_per_cell"] =
+      ns_per_cube * cubes / static_cast<double>(days.cells);
+  state.counters["cells"] = static_cast<double>(days.cells) / cubes;
+  state.counters["body_bytes"] = static_cast<double>(days.body_bytes) / cubes;
+}
+
+[[maybe_unused]] const bool kFoldEncodedRegistered = [] {
+  const std::pair<const char*, FoldPanel> panels[] = {
+      {"series", kSeries},
+      {"choropleth", kChoropleth},
+      {"histogram", kHistogram},
+      {"detail", kDetail}};
+  for (const auto& [panel_name, panel] : panels) {
+    for (bool paper : {true, false}) {
+      const std::string name = std::string("BM_FoldEncoded/") + panel_name +
+                               (paper ? "/paper" : "/bench");
+      benchmark::RegisterBenchmark(name.c_str(), BM_FoldEncoded, panel,
+                                   paper)
+          ->Unit(benchmark::kMicrosecond);
+    }
+  }
+  return true;
+}();
 
 void BM_RecordCodec(benchmark::State& state) {
   UpdateRecord r;

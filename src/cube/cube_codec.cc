@@ -1,6 +1,7 @@
 #include "cube/cube_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/varint.h"
@@ -35,8 +36,11 @@ uint32_t LoadLe32(const unsigned char* p) {
 }
 
 uint64_t LoadLe64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 
@@ -130,9 +134,8 @@ bool BuildSparseBody(const std::vector<CubeCell>& cells, size_t limit,
 
 // --- Per-encoding accumulate / decode cores -------------------------------
 
-/// GetVarint for the per-cell loops: one-byte values (most gaps and
-/// counts) are read inline, and the result is a bool, so no Status is
-/// built per cell. Together that halves a sparse body's decode time.
+/// GetVarint for the per-cell path: one-byte values are read inline, and
+/// the result is a bool, so no Status is built per cell.
 inline bool ReadCellVarint(const unsigned char** p, const unsigned char* end,
                            uint64_t* v) {
   if (*p != end && **p < 0x80) {
@@ -145,11 +148,29 @@ inline bool ReadCellVarint(const unsigned char** p, const unsigned char* end,
 /// The validating core every reader of a COO body goes through: checks
 /// the entry count, every varint, that coordinates stay in range (they
 /// increase by construction, since each gap is non-negative) and that no
-/// bytes trail the last entry, calling on_cell(index, gap, value) per
-/// entry. Corrupt input fails with Corruption, never undefined behavior.
+/// bytes trail the last entry, calling on_cell(index, value) per entry in
+/// increasing index order. Corrupt input fails with Corruption, never
+/// undefined behavior, and no byte outside [body, body + body_bytes) is
+/// read.
+///
+/// Almost every entry of a daily cube is a 1- or 2-byte gap and a 1-byte
+/// count, so the core decodes two such entries from one 8-byte load
+/// without a branch on either varint's length. A pair it cannot take that
+/// way (a 3+ byte gap, a multi-byte count, a coordinate past the last
+/// cell, fewer than 8 bytes or 2 entries left) goes through the per-cell
+/// checked path for its first entry only, and the word path resumes at
+/// the next.
 template <typename OnCell>
 Status ScanSparseBody(uint64_t num_cells, const unsigned char* body,
                       size_t body_bytes, OnCell&& on_cell) {
+  // The continuation bits a pair of entries must have clear, indexed by
+  // long_a * 2 + long_b (a long entry has a 2-byte gap): every byte after
+  // an entry's first, i.e. its second gap byte, if any, and its count.
+  static constexpr uint64_t kMustEnd[4] = {
+      0x000080008000,   // a = bytes 0-1,   b = bytes 2-3
+      0x008080008000,   // a = bytes 0-1,   b = bytes 2-4
+      0x008000808000,   // a = bytes 0-2,   b = bytes 3-4
+      0x808000808000};  // a = bytes 0-2,   b = bytes 3-5
   const unsigned char* p = body;
   const unsigned char* end = body + body_bytes;
   uint64_t nnz = 0;
@@ -157,18 +178,41 @@ Status ScanSparseBody(uint64_t num_cells, const unsigned char* body,
   if (nnz > num_cells) {
     return Status::Corruption("sparse cube nnz exceeds cell count");
   }
-  uint64_t next_min = 0;  // the next index an entry may use
-  for (uint64_t i = 0; i < nnz; ++i) {
+  uint64_t next = 0;  // the next index an entry may use; <= num_cells
+  for (uint64_t left = nnz; left != 0;) {
+    if (left >= 2 && end - p >= 8) {
+      // Entry a is long when byte 0 continues; entry b starts right after
+      // it, at byte 2 or 3. Lengths pick shift counts, never a branch.
+      const uint64_t w = LoadLe64(p);
+      const unsigned long_a = (w >> 7) & 1;
+      const uint64_t w_b = w >> (16 + 8 * long_a);
+      const unsigned long_b = (w_b >> 7) & 1;
+      const uint64_t gap_a =
+          (w & 0x7F) | ((w >> 1) & 0x3F80 & (0 - uint64_t{long_a}));
+      const uint64_t gap_b =
+          (w_b & 0x7F) | ((w_b >> 1) & 0x3F80 & (0 - uint64_t{long_b}));
+      const uint64_t index_a = next + gap_a;
+      const uint64_t index_b = index_a + 1 + gap_b;  // < next + 2^15
+      if ((w & kMustEnd[long_a * 2 + long_b]) == 0 && index_b < num_cells) {
+        on_cell(index_a, (w >> (8 + 8 * long_a)) & 0x7F);
+        on_cell(index_b, (w_b >> (8 + 8 * long_b)) & 0x7F);
+        next = index_b + 1;
+        p += 4 + long_a + long_b;
+        left -= 2;
+        continue;
+      }
+    }
     uint64_t gap = 0;
     uint64_t value = 0;
     if (!ReadCellVarint(&p, end, &gap) || !ReadCellVarint(&p, end, &value)) {
       return Status::Corruption("bad varint in sparse cube body");
     }
-    if (gap >= num_cells || next_min + gap >= num_cells) {
+    if (gap >= num_cells - next) {
       return Status::Corruption("sparse cube coordinate out of range");
     }
-    on_cell(next_min + gap, gap, value);
-    next_min += gap + 1;
+    on_cell(next + gap, value);
+    next += gap + 1;
+    --left;
   }
   if (p != end) {
     return Status::Corruption("trailing bytes after sparse cube body");
@@ -176,29 +220,41 @@ Status ScanSparseBody(uint64_t num_cells, const unsigned char* body,
   return Status::OK();
 }
 
+/// The most cells AccumulateSparse indexes: it splits a cell index into
+/// its slot-table halves with a 64-bit multiply that is exact below 2^31.
+constexpr uint64_t kMaxFoldCells = uint64_t{1} << 31;
+
+/// Folds a COO body into `acc`. A cell the slice excludes adds 0 to slot 0
+/// rather than branching. With kTrack, also sets bit s of `touched` for
+/// every slot s a cell of the slice lands in.
+template <bool kTrack>
 Status AccumulateSparse(const SliceLuts& luts, const unsigned char* body,
-                        size_t body_bytes, uint64_t* acc) {
-  const uint64_t inner_size = luts.inner.size();
-  // The next index an entry may use, split into the halves the slot
-  // tables are indexed by (outer * inner_size + inner) and advanced by
-  // each gap, so no cell costs a division.
-  uint64_t outer = 0, inner = 0;
+                        size_t body_bytes, uint64_t* acc, uint64_t* touched) {
+  const uint64_t num_cells = luts.schema->num_cells();
+  if (num_cells >= kMaxFoldCells) {
+    return Status::InvalidArgument("cube schema too large to fold");
+  }
+  // index / inner_size as (index * magic) >> shift, with shift = 32 +
+  // ceil(log2 inner_size) and magic = ceil(2^shift / inner_size) <= 2^33:
+  // exact for every index below 2^32, and the product stays below 2^64
+  // for every index below 2^31.
+  const uint64_t inner_size = std::max<uint64_t>(luts.inner.size(), 1);
+  unsigned shift = 32;
+  while ((uint64_t{1} << (shift - 32)) < inner_size) ++shift;
+  const uint64_t magic = ((uint64_t{1} << shift) + inner_size - 1) / inner_size;
+  const int64_t* outer = luts.outer.data();
+  const int64_t* inner = luts.inner.data();
   return ScanSparseBody(
-      luts.schema->num_cells(), body, body_bytes,
-      [&](uint64_t, uint64_t gap, uint64_t value) {
-        // Carrying gap into the halves loops at most once per outer row
-        // over the whole body, since every index stays below num_cells.
-        inner += gap;
-        while (inner >= inner_size) {
-          inner -= inner_size;
-          ++outer;
-        }
-        const int64_t slot_a = luts.outer[outer], slot_b = luts.inner[inner];
-        if ((slot_a | slot_b) >= 0) acc[slot_a + slot_b] += value;
-        if (++inner == inner_size) {
-          inner = 0;
-          ++outer;
-        }
+      num_cells, body, body_bytes, [&](uint64_t index, uint64_t value) {
+        const uint64_t row = (index * magic) >> shift;
+        const int64_t slot_a = outer[row];
+        const int64_t slot_b = inner[index - row * inner_size];
+        // All ones when the slice keeps the cell, else zero.
+        const uint64_t keep =
+            ~static_cast<uint64_t>((slot_a | slot_b) >> 63);
+        const uint64_t slot = static_cast<uint64_t>(slot_a + slot_b) & keep;
+        acc[slot] += value & keep;
+        if constexpr (kTrack) touched[slot >> 6] |= (keep & 1) << (slot & 63);
       });
 }
 
@@ -272,12 +328,28 @@ Result<CubeBlobHeader> CubeBlobHeader::Parse(const unsigned char* data,
 
 Status AccumulateEncodedSlice(const SliceLuts& luts, CubeEncoding encoding,
                               const unsigned char* body, size_t body_bytes,
-                              uint64_t* acc) {
+                              uint64_t* acc, uint64_t* touched) {
+  if (touched != nullptr) {
+    // Marking each cell's slot costs a COO fold about 40% more at paper
+    // scale; below kTrackedSlots slots, visiting every slot at the flush
+    // costs less, and a dense body may touch any slot anyway.
+    constexpr size_t kTrackedSlots = 1024;
+    const size_t slots = GroupAccumulatorSize(*luts.schema, luts.spec);
+    if (encoding == CubeEncoding::kDenseRaw || slots < kTrackedSlots) {
+      std::fill(touched, touched + slots / 64, ~uint64_t{0});
+      if (slots % 64 != 0) {
+        touched[slots / 64] |= ~(~uint64_t{0} << (slots % 64));
+      }
+      touched = nullptr;
+    }
+  }
   if (encoding == CubeEncoding::kDenseRaw) {
     return AccumulateDense(*luts.schema, body, body_bytes, *luts.slice,
                            luts.spec, acc);
   }
-  return AccumulateSparse(luts, body, body_bytes, acc);
+  return touched != nullptr
+             ? AccumulateSparse<true>(luts, body, body_bytes, acc, touched)
+             : AccumulateSparse<false>(luts, body, body_bytes, acc, nullptr);
 }
 
 Result<DataCube> DecodeEncodedCube(const CubeSchema& schema,
@@ -322,7 +394,7 @@ Result<SparseCube> DecodeSparseCube(const CubeSchema& schema,
     cells.reserve(body_bytes / 2);  // every entry takes at least two bytes
     RASED_RETURN_IF_ERROR(ScanSparseBody(
         schema.num_cells(), body, body_bytes,
-        [&](uint64_t index, uint64_t, uint64_t value) {
+        [&](uint64_t index, uint64_t value) {
           cells.push_back(CubeCell{index, value});
         }));
   }

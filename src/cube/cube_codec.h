@@ -34,11 +34,18 @@ namespace rased {
 ///                 strictly increasing order; the first delta is the index
 ///                 itself and each subsequent delta is (index - previous
 ///                 index - 1), so every stored delta is the gap width.
+///                 One scanner reads every COO body: it decodes two
+///                 entries of a 1-2 byte gap and a 1-byte count from each
+///                 8-byte load, with no branch on a varint's length, and
+///                 sends any other entry (a longer gap or count, or one of
+///                 the last 8 bytes) through a per-cell checked path. It
+///                 never reads outside [body, body + body_bytes), though
+///                 every body in memory sits in 8-byte-padded storage.
 ///
 /// Any other tag is an unknown encoding. Decoders validate everything
-/// (truncated varints, out-of-range or non-increasing coordinates, trailing
-/// bytes) and fail with a clean Corruption status — never undefined
-/// behavior.
+/// (truncated or overlong varints, out-of-range or non-increasing
+/// coordinates, trailing bytes) and fail with a clean Corruption status —
+/// never undefined behavior.
 enum class CubeEncoding : uint8_t {
   kDenseRaw = 0,
   kSparseCoo = 1,
@@ -98,13 +105,21 @@ struct SliceLuts {
   std::vector<int64_t> outer, inner;
 };
 
+/// Words of a bitmap with one bit per slot of a `slots`-slot accumulator.
+inline size_t TouchedWords(size_t slots) { return (slots + 63) / 64; }
+
 /// Aggregates an encoded body straight into the flat packed GROUP BY
 /// accumulator `acc` (layout: GroupAccumulatorSize / SumSliceInto) without
 /// materializing a dense cube on the sparse paths. Bit-for-bit equal to
-/// decoding and running ConstCubeRef::SumSliceInto.
+/// decoding and running ConstCubeRef::SumSliceInto. When `touched` is
+/// non-null (TouchedWords(GroupAccumulatorSize) words), also sets bit s
+/// for every slot s the body may have added to: the slots of a COO body's
+/// cells in the slice when the accumulator is large, every slot for a
+/// dense body or a small accumulator. Bits of slots past the accumulator
+/// are never set.
 Status AccumulateEncodedSlice(const SliceLuts& luts, CubeEncoding encoding,
                               const unsigned char* body, size_t body_bytes,
-                              uint64_t* acc);
+                              uint64_t* acc, uint64_t* touched = nullptr);
 
 
 /// Decodes an encoded body back to a dense cube, straight into the cube's

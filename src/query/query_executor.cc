@@ -1,9 +1,7 @@
 #include "query/query_executor.h"
 
-#include <algorithm>
-#include <map>
+#include <bit>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "cube/cube_codec.h"
@@ -225,10 +223,17 @@ Result<QueryResult> QueryExecutor::Execute(
   };
 
   // Grouping by Date keys rows by each (daily) cube's date on top of the
-  // packed coordinates; the accumulator is flushed per cube into a sorted
-  // map so the output keeps the old (element_type, date, ...) row order.
-  using GroupKey = std::tuple<int32_t, int32_t, int32_t, int32_t, int32_t>;
-  std::map<GroupKey, uint64_t> dated_groups;
+  // packed coordinates. After each cube the accumulator is flushed, slot
+  // by slot in slot order, from the bitmap of slots the cube touched; the
+  // plan lists its daily cubes in increasing date order (PlanFlat), so
+  // appending each flushed row to its element type's list keeps every
+  // list in (date, country, road_type, update_type) order, and the lists
+  // concatenate to the (element_type, date, ...) row order.
+  std::vector<uint64_t> touched(
+      query.group_date ? TouchedWords(acc.size()) : 0, 0);
+  std::vector<std::vector<ResultRow>> dated_rows(
+      !query.group_date ? 0 : spec.element_type ? schema.num_element_types
+                                                : 1);
 
   const SliceLuts luts(schema, slice, spec);
   size_t next_miss = 0;
@@ -239,20 +244,27 @@ Result<QueryResult> QueryExecutor::Execute(
     Status st = AccumulateEncodedSlice(
         luts, hit ? hits[i]->encoding() : fetched.encoding(j),
         hit ? hits[i]->body() : fetched.body(j),
-        hit ? hits[i]->body_bytes() : fetched.body_bytes(j), acc.data());
+        hit ? hits[i]->body_bytes() : fetched.body_bytes(j), acc.data(),
+        query.group_date ? touched.data() : nullptr);
     if (!st.ok()) {
       if (metrics_.errors != nullptr) metrics_.errors->Increment();
       return st;
     }
     if (query.group_date) {
-      int32_t date_key = plan.cubes[i].range().first.days_since_epoch();
-      for (size_t slot = 0; slot < acc.size(); ++slot) {
-        if (acc[slot] == 0) continue;
-        ResultRow row;
-        decode(slot, &row);
-        dated_groups[GroupKey{row.element_type, date_key, row.country,
-                              row.road_type, row.update_type}] += acc[slot];
-        acc[slot] = 0;
+      const Date date = plan.cubes[i].range().first;
+      for (size_t w = 0; w < touched.size(); ++w) {
+        for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+          const size_t slot = w * 64 + std::countr_zero(bits);
+          if (acc[slot] == 0) continue;
+          ResultRow row;
+          decode(slot, &row);
+          row.date = date;
+          row.has_date = true;
+          row.count = acc[slot];
+          acc[slot] = 0;
+          dated_rows[spec.element_type ? row.element_type : 0].push_back(row);
+        }
+        touched[w] = 0;
       }
     }
   }
@@ -270,17 +282,11 @@ Result<QueryResult> QueryExecutor::Execute(
   };
 
   if (query.group_date) {
-    result.rows.reserve(dated_groups.size());
-    for (const auto& [gk, count] : dated_groups) {
-      ResultRow row;
-      row.element_type = std::get<0>(gk);
-      row.date = Date::FromDays(std::get<1>(gk));
-      row.has_date = true;
-      row.country = std::get<2>(gk);
-      row.road_type = std::get<3>(gk);
-      row.update_type = std::get<4>(gk);
-      row.count = count;
-      finish_row(&row);
+    size_t total = 0;
+    for (const auto& rows : dated_rows) total += rows.size();
+    result.rows.reserve(total);
+    for (auto& rows : dated_rows) {
+      for (ResultRow& row : rows) finish_row(&row);
     }
   } else {
     for (size_t slot = 0; slot < acc.size(); ++slot) {

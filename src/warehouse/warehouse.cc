@@ -201,9 +201,13 @@ Warehouse::ReadSet Warehouse::Capture(std::vector<uint64_t> locators) const {
 Result<std::vector<UpdateRecord>> Warehouse::Read(const ReadSet& set,
                                                   const SampleFilter* filter,
                                                   size_t n) const {
-  // 128 pages is 1 MiB of 8 KiB pages: a default 100-record sample is one
-  // ReadPages call, and a selective filter still reads in bounded steps.
-  constexpr size_t kBatchPages = 128;
+  // 16 pages is 128 KiB of 8 KiB pages, read with one ReadPages call; a
+  // default 100-record sample takes a few. A buffer for the whole sample
+  // (up to ~0.7 MB) would be allocated and freed in the serving worker's
+  // heap on every request; the next request's small allocations land in
+  // the freed range, the next such buffer goes above them, and every
+  // worker heap grows by such steps.
+  constexpr size_t kBatchPages = 16;
   const size_t payload = pager_->payload_size();
   const std::vector<uint64_t>& locators = set.locators;
   std::vector<UpdateRecord> out;

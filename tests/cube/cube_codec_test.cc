@@ -4,10 +4,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cube/data_cube.h"
 #include "cube/sparse_cube.h"
+#include "geo/world_map.h"
+#include "index/cube_builder.h"
+#include "synth/update_generator.h"
 #include "util/random.h"
 
 namespace rased {
@@ -42,6 +47,26 @@ void PutVarint(std::vector<unsigned char>* out, uint64_t v) {
   }
   out->push_back(static_cast<unsigned char>(v));
 }
+
+/// A copy of a body in an allocation of exactly its length, with none of
+/// the 8-byte padding EncodedCube's storage and the batch arena carry, so
+/// a sanitizer build flags any read past the body's last byte.
+class ExactBody {
+ public:
+  ExactBody(const unsigned char* data, size_t size)
+      : bytes_(new unsigned char[size]), size_(size) {
+    if (size != 0) std::memcpy(bytes_.get(), data, size);
+  }
+  explicit ExactBody(const std::vector<unsigned char>& body)
+      : ExactBody(body.data(), body.size()) {}
+
+  const unsigned char* data() const { return bytes_.get(); }
+  size_t size() const { return size_; }
+
+ private:
+  std::unique_ptr<unsigned char[]> bytes_;
+  size_t size_;
+};
 
 /// Fills every cell with a full-width count: a COO entry then costs more
 /// than the 8-byte dense cell, so the adaptive encoder stores it dense.
@@ -218,8 +243,9 @@ TEST(CubeCodecTest, TruncatedBodyIsCorruptionNotUb) {
     for (size_t cut : {size_t{0}, size_t{1}, encoded.body_bytes() / 2,
                        encoded.body_bytes() - 1}) {
       if (cut >= encoded.body_bytes()) continue;
-      auto decoded =
-          DecodeEncodedCube(schema, encoded.encoding(), encoded.body(), cut);
+      const ExactBody prefix(encoded.body(), cut);
+      auto decoded = DecodeEncodedCube(schema, encoded.encoding(),
+                                       prefix.data(), prefix.size());
       EXPECT_FALSE(decoded.ok()) << "cut=" << cut << " density=" << density;
     }
   }
@@ -275,9 +301,10 @@ TEST(CubeCodecTest, CorruptBodyFailsAccumulateToo) {
   GroupBySpec spec;
   spec.country = true;
   std::vector<uint64_t> acc(GroupAccumulatorSize(schema, spec), 0);
+  const ExactBody prefix(encoded.body(), encoded.body_bytes() - 1);
   Status st = AccumulateEncodedSlice(SliceLuts(schema, slice, spec),
-                                     encoded.encoding(), encoded.body(),
-                                     encoded.body_bytes() - 1, acc.data());
+                                     encoded.encoding(), prefix.data(),
+                                     prefix.size(), acc.data());
   EXPECT_FALSE(st.ok());
 }
 
@@ -515,7 +542,7 @@ TEST(CubeCodecTest, SparseDecodeRejectsWhatAccumulateRejects) {
   const SliceLuts luts(schema, all, spec);
   std::vector<uint64_t> acc(GroupAccumulatorSize(schema, spec), 0);
   for (size_t i = 0; i < corrupt.size(); ++i) {
-    const std::vector<unsigned char>& b = corrupt[i];
+    const ExactBody b(corrupt[i]);
     EXPECT_FALSE(AccumulateEncodedSlice(luts, CubeEncoding::kSparseCoo,
                                         b.data(), b.size(), acc.data())
                      .ok())
@@ -525,6 +552,338 @@ TEST(CubeCodecTest, SparseDecodeRejectsWhatAccumulateRejects) {
             .ok())
         << i;
   }
+}
+
+// --- The COO core at paper scale --------------------------------------------
+//
+// At the paper-scale schema (549,000 cells) a daily cube's gaps take 1, 2
+// and sometimes 3 bytes, so these tests reach both the core's two-entry
+// word path and its per-cell path, and every switch between them; the
+// tiny schemas above never need a 2-byte gap.
+
+/// Synthesized days at the paper rate (500 updates a day, seed 1) over
+/// the paper-scale world, as the dashboard benchmark's fixture makes them.
+class PaperRateDays {
+ public:
+  PaperRateDays() : world_(305), roads_(150) {}
+
+  SparseCube Day(Date day) const {
+    SynthOptions options;
+    options.seed = 1;
+    options.base_updates_per_day = 500.0;
+    options.period = DateRange(Date::FromYmd(2020, 1, 1),
+                               Date::FromYmd(2021, 12, 31));
+    UpdateGenerator gen(options, &world_, &roads_);
+    CubeBuilder builder(CubeSchema::PaperScale(), &world_);
+    return builder.BuildSparseCube(gen.GenerateDayRecords(day));
+  }
+
+  const WorldMap& world() const { return world_; }
+
+ private:
+  WorldMap world_;
+  RoadTypeTable roads_;
+};
+
+/// A slice and GROUP BY a query folds its cubes through.
+struct FoldShape {
+  CubeSlice slice;
+  GroupBySpec spec;
+};
+
+/// The dashboard's four panels: the date series (no cell dimension
+/// grouped), the choropleth (country), the histogram (road type x update
+/// type) and the one-country detail (update type); unfiltered countries
+/// range over the executor's default partition.
+std::vector<FoldShape> PanelShapes(const WorldMap& world) {
+  CubeSlice partition;
+  partition.countries.push_back(kZoneUnknown);
+  for (ZoneId id : world.country_ids()) partition.countries.push_back(id);
+  std::vector<FoldShape> shapes(4, FoldShape{partition, GroupBySpec{}});
+  shapes[1].spec.country = true;
+  shapes[2].spec.road_type = shapes[2].spec.update_type = true;
+  shapes[3].slice.countries = {world.country_ids()[7]};
+  shapes[3].spec.update_type = true;
+  for (FoldShape& shape : shapes) shape.slice.Normalize();
+  return shapes;
+}
+
+/// A random IN-list of up to `max_values` values below `size`, or none.
+std::vector<uint32_t> RandomFilter(Rng* rng, uint32_t size,
+                                   uint32_t max_values) {
+  std::vector<uint32_t> values;
+  if (rng->Bernoulli(0.4)) return values;
+  const uint64_t n = 1 + rng->Uniform(max_values);
+  for (uint64_t i = 0; i < n; ++i) {
+    values.push_back(static_cast<uint32_t>(rng->Uniform(size)));
+  }
+  return values;
+}
+
+FoldShape RandomShape(const CubeSchema& schema, Rng* rng) {
+  FoldShape shape;
+  shape.slice.element_types =
+      RandomFilter(rng, schema.num_element_types, 2);
+  shape.slice.countries = RandomFilter(rng, schema.num_countries, 60);
+  shape.slice.road_types = RandomFilter(rng, schema.num_road_types, 30);
+  shape.slice.update_types = RandomFilter(rng, schema.num_update_types, 3);
+  shape.slice.Normalize();
+  shape.spec.element_type = rng->Bernoulli(0.5);
+  shape.spec.country = rng->Bernoulli(0.5);
+  shape.spec.road_type = rng->Bernoulli(0.5);
+  shape.spec.update_type = rng->Bernoulli(0.5);
+  return shape;
+}
+
+/// The dense kernel's answer for `cube` folded through `shape`.
+std::vector<uint64_t> DenseFold(const DataCube& cube, const FoldShape& shape) {
+  std::vector<uint64_t> acc(GroupAccumulatorSize(cube.schema(), shape.spec),
+                            0);
+  cube.SumSliceInto(shape.slice, shape.spec, acc.data());
+  return acc;
+}
+
+TEST(CubeCodecTest, PaperScaleAccumulateMatchesDenseKernel) {
+  const CubeSchema schema = CubeSchema::PaperScale();
+  const PaperRateDays days;
+  std::vector<SparseCube> cubes = {days.Day(Date::FromYmd(2020, 6, 15)),
+                                   days.Day(Date::FromYmd(2021, 3, 2))};
+  // Random cubes from 3-byte gaps (20 cells) to 1-byte ones (40,000),
+  // with 1-, 2- and 10-byte counts.
+  for (size_t nnz : {1, 20, 300, 5000, 40000}) {
+    cubes.push_back(RandomTwins(schema, nnz, nnz + 7).sparse);
+  }
+  const std::vector<FoldShape> panels = PanelShapes(days.world());
+  Rng rng(2027);
+  for (size_t c = 0; c < cubes.size(); ++c) {
+    SCOPED_TRACE(testing::Message() << "cube " << c);
+    const DataCube dense = cubes[c].ToDense();
+    const EncodedCube encoded = EncodedCube::Encode(cubes[c]);
+    ASSERT_EQ(encoded.encoding(), CubeEncoding::kSparseCoo);
+    const ExactBody body(encoded.body(), encoded.body_bytes());
+    std::vector<FoldShape> shapes = panels;
+    for (int i = 0; i < 8; ++i) shapes.push_back(RandomShape(schema, &rng));
+    for (size_t k = 0; k < shapes.size(); ++k) {
+      const FoldShape& shape = shapes[k];
+      const SliceLuts luts(schema, shape.slice, shape.spec);
+      const size_t slots = GroupAccumulatorSize(schema, shape.spec);
+      const std::vector<uint64_t> want = DenseFold(dense, shape);
+      std::vector<uint64_t> got(slots, 0);
+      ASSERT_TRUE(AccumulateEncodedSlice(luts, CubeEncoding::kSparseCoo,
+                                         body.data(), body.size(),
+                                         got.data())
+                      .ok());
+      EXPECT_EQ(got, want) << "shape " << k;
+      // With a touched-slot bitmap: the same sums, a bit for every
+      // non-zero slot, and none past the accumulator.
+      std::vector<uint64_t> tracked(slots, 0);
+      std::vector<uint64_t> touched(TouchedWords(slots) + 1, 0);
+      ASSERT_TRUE(AccumulateEncodedSlice(luts, CubeEncoding::kSparseCoo,
+                                         body.data(), body.size(),
+                                         tracked.data(), touched.data())
+                      .ok());
+      EXPECT_EQ(tracked, want) << "shape " << k;
+      for (size_t slot = 0; slot < touched.size() * 64; ++slot) {
+        const bool bit = (touched[slot / 64] >> (slot % 64)) & 1;
+        if (slot >= slots) {
+          ASSERT_FALSE(bit) << "shape " << k << " slot " << slot;
+        } else if (want[slot] != 0) {
+          ASSERT_TRUE(bit) << "shape " << k << " slot " << slot;
+        }
+      }
+    }
+    auto decoded = DecodeSparseCube(schema, CubeEncoding::kSparseCoo,
+                                    body.data(), body.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value(), cubes[c]);
+  }
+}
+
+/// One COO entry's bytes, as written or altered by a test.
+struct RawEntry {
+  std::vector<unsigned char> gap, count;
+};
+
+/// The entries of a canonical COO body, in order.
+std::vector<RawEntry> EntriesOf(const SparseCube& cube) {
+  std::vector<RawEntry> entries;
+  uint64_t next_min = 0;
+  for (const CubeCell& cell : cube.cells()) {
+    RawEntry entry;
+    PutVarint(&entry.gap, cell.index - next_min);
+    PutVarint(&entry.count, cell.count);
+    entries.push_back(std::move(entry));
+    next_min = cell.index + 1;
+  }
+  return entries;
+}
+
+/// A COO body claiming `nnz` entries followed by `entries`' bytes.
+std::vector<unsigned char> BodyOf(uint64_t nnz,
+                                  const std::vector<RawEntry>& entries) {
+  std::vector<unsigned char> body;
+  PutVarint(&body, nnz);
+  for (const RawEntry& entry : entries) {
+    body.insert(body.end(), entry.gap.begin(), entry.gap.end());
+    body.insert(body.end(), entry.count.begin(), entry.count.end());
+  }
+  return body;
+}
+
+std::vector<unsigned char> BodyOf(const std::vector<RawEntry>& entries) {
+  return BodyOf(entries.size(), entries);
+}
+
+// Accumulate and the sparse decoder share one core, so they must accept
+// and reject exactly the same bodies; where they accept, they must agree
+// on the cells. Every body sits in an allocation of exactly its length.
+TEST(CubeCodecTest, PaperScaleSweepAcceptsAndRejectsAlike) {
+  const CubeSchema schema = CubeSchema::PaperScale();
+  const uint64_t n = schema.num_cells();
+  const PaperRateDays days;
+  const SparseCube day = days.Day(Date::FromYmd(2020, 6, 15));
+  const std::vector<RawEntry> base = EntriesOf(day);
+  const std::vector<unsigned char> valid = BodyOf(base);
+  ASSERT_EQ(valid.size(), EncodedCube::Encode(day).body_bytes());
+
+  // A body and what both readers must say of it: "" to accept it, else a
+  // phrase of the Corruption message both must give.
+  struct Case {
+    std::string name;
+    std::vector<unsigned char> body;
+    std::string error;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"valid", valid, ""});
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    cases.push_back({"prefix " + std::to_string(cut),
+                     std::vector<unsigned char>(valid.begin(),
+                                                valid.begin() + cut),
+                     "varint"});
+  }
+  // Long varints at entry positions spread over every alignment, on the
+  // word path's ground and into the last 8 bytes: a 3-byte gap, a 2-byte
+  // count (both canonical: cells thinned out ahead of the entry, and a
+  // count raised past 127) and the non-canonical 0x80 0x00 spelling of a
+  // 1-byte gap or count, which the varint reader accepts as its value.
+  std::vector<size_t> positions;
+  for (size_t k = 0; k < 24; ++k) positions.push_back(k);
+  for (size_t k = 24; k + 4 < base.size(); k += 37) positions.push_back(k);
+  for (size_t k = base.size() - 4; k < base.size(); ++k) {
+    positions.push_back(k);
+  }
+  for (size_t k : positions) {
+    const std::string at = " at entry " + std::to_string(k);
+    const CubeCell& cell = day.cells()[k];
+    std::vector<CubeCell> thinned;
+    for (const CubeCell& c : day.cells()) {
+      if (c.index >= cell.index || c.index + 20000 < cell.index) {
+        thinned.push_back(c);
+      }
+    }
+    cases.push_back({"3-byte gap" + at,
+                     BodyOf(EntriesOf(SparseCube::FromPairs(schema, thinned))),
+                     ""});
+    std::vector<CubeCell> raised = day.cells();
+    raised[k].count += 300;
+    cases.push_back({"2-byte count" + at,
+                     BodyOf(EntriesOf(SparseCube::FromPairs(schema, raised))),
+                     ""});
+    for (bool gap : {true, false}) {
+      std::vector<RawEntry> entries = base;
+      std::vector<unsigned char>& v = gap ? entries[k].gap : entries[k].count;
+      if (v.size() != 1) continue;
+      v = {static_cast<unsigned char>(v[0] | 0x80), 0x00};
+      cases.push_back(
+          {std::string("0x80 0x00 ") + (gap ? "gap" : "count") + at,
+           BodyOf(entries), ""});
+    }
+  }
+  // A gap walking past the last cell: on the last entry; on the word
+  // path, entries close to the end of the cube stepping past it in the
+  // middle of a run of 2-byte entries; and from the per-cell path.
+  for (uint64_t past : {0, 1}) {
+    // The last entry's gap to the last cell, or one further.
+    const uint64_t prev = day.cells()[day.cells().size() - 2].index;
+    std::vector<RawEntry> entries = base;
+    entries.back().gap.clear();
+    PutVarint(&entries.back().gap, n - 2 - prev + past);
+    cases.push_back({past ? "last gap past the end" : "last gap to the end",
+                     BodyOf(entries), past ? "out of range" : ""});
+  }
+  for (uint64_t step : {uint64_t{3}, uint64_t{0}}) {
+    std::vector<RawEntry> entries(1);
+    PutVarint(&entries[0].gap, n - 10);
+    PutVarint(&entries[0].count, 1);
+    for (int i = 0; i < 7; ++i) {
+      entries.push_back(RawEntry{{static_cast<unsigned char>(step)}, {1}});
+    }
+    cases.push_back({"run of gap " + std::to_string(step) + " near the end",
+                     BodyOf(entries), step == 0 ? "" : "out of range"});
+  }
+  {
+    std::vector<RawEntry> entries = base;
+    entries[base.size() / 2].gap.clear();
+    PutVarint(&entries[base.size() / 2].gap, n);
+    cases.push_back({"3-byte gap past the end", BodyOf(entries),
+                     "out of range"});
+  }
+  // Bytes after the last counted entry: one appended byte; and bodies
+  // whose last counted entry ends 0-7 bytes before the end, the rest
+  // being the bytes of the entries the count leaves out.
+  {
+    std::vector<unsigned char> body = valid;
+    body.push_back(0);
+    cases.push_back({"one trailing byte", body, "trailing bytes"});
+  }
+  // Leaving out 4 or 5 entries makes the counted entries odd in number
+  // once and even once, so one of the two reaches its last entry in the
+  // middle of a pair.
+  for (size_t dropped : {4, 5}) {
+    const std::vector<RawEntry> kept(base.begin(), base.end() - dropped);
+    std::vector<unsigned char> rest;
+    for (size_t i = kept.size(); i < base.size(); ++i) {
+      rest.insert(rest.end(), base[i].gap.begin(), base[i].gap.end());
+      rest.insert(rest.end(), base[i].count.begin(), base[i].count.end());
+    }
+    ASSERT_GE(rest.size(), 8u);
+    for (size_t k = 0; k < 8; ++k) {
+      std::vector<unsigned char> body = BodyOf(kept);
+      body.insert(body.end(), rest.begin(), rest.begin() + k);
+      cases.push_back({"last of " + std::to_string(kept.size()) +
+                           " entries " + std::to_string(k) +
+                           " bytes before end",
+                       body, k == 0 ? "" : "trailing bytes"});
+    }
+  }
+
+  const std::vector<FoldShape> panels = PanelShapes(days.world());
+  const FoldShape& shape = panels[1];  // 305 slots: cheap to reset
+  const SliceLuts luts(schema, shape.slice, shape.spec);
+  size_t accepted = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ExactBody body(c.body);
+    std::vector<uint64_t> acc(GroupAccumulatorSize(schema, shape.spec), 0);
+    const Status folded = AccumulateEncodedSlice(
+        luts, CubeEncoding::kSparseCoo, body.data(), body.size(), acc.data());
+    auto decoded = DecodeSparseCube(schema, CubeEncoding::kSparseCoo,
+                                    body.data(), body.size());
+    EXPECT_EQ(folded.ok(), c.error.empty()) << folded.ToString();
+    EXPECT_EQ(decoded.ok(), c.error.empty()) << decoded.status().ToString();
+    if (!c.error.empty()) {
+      EXPECT_TRUE(folded.IsCorruption());
+      EXPECT_TRUE(decoded.status().IsCorruption());
+      EXPECT_NE(folded.ToString().find(c.error), std::string::npos)
+          << folded.ToString();
+      EXPECT_EQ(folded.ToString(), decoded.status().ToString());
+    }
+    if (folded.ok() && decoded.ok()) {
+      ++accepted;
+      EXPECT_EQ(acc, DenseFold(decoded.value().ToDense(), shape));
+    }
+  }
+  EXPECT_GT(accepted, positions.size() * 2);
 }
 
 }  // namespace

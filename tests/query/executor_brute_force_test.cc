@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -85,44 +87,64 @@ std::map<GroupKey, uint64_t> BruteForce(
   return groups;
 }
 
-TEST(ExecutorBruteForceTest, RandomQueriesMatchRecordScan) {
-  TempDir dir("brute-force");
-  CubeSchema schema = CubeSchema::BenchScale();
-  WorldMap world(schema.num_countries);
-  RoadTypeTable roads(schema.num_road_types);
-
-  SynthOptions synth;
-  synth.seed = 4242;
-  synth.base_updates_per_day = 80.0;
-  synth.period = DateRange(Date::FromYmd(2021, 1, 1),
-                           Date::FromYmd(2021, 3, 31));
-  UpdateGenerator gen(synth, &world, &roads);
-
-  TemporalIndexOptions options;
-  options.schema = schema;
-  options.dir = env::JoinPath(dir.path(), "idx");
-  options.device = DeviceModel::None();
-  auto index = TemporalIndex::Create(options);
-  ASSERT_TRUE(index.ok());
-
-  CubeBuilder builder(schema, &world);
-  std::vector<UpdateRecord> all_records;
-  for (Date d = synth.period.first; d <= synth.period.last; d = d.next()) {
-    auto records = gen.GenerateDayRecords(d);
-    ASSERT_TRUE(index.value()->AppendDay(d, builder.BuildCube(records)).ok());
-    all_records.insert(all_records.end(), records.begin(), records.end());
+/// Three months of a randomized record stream at bench scale. BuildIndex
+/// indexes it under an encoding policy and keeps the records for the
+/// brute-force reference.
+class ExecutorBruteForceTest : public ::testing::Test {
+ protected:
+  ExecutorBruteForceTest()
+      : schema_(CubeSchema::BenchScale()),
+        world_(schema_.num_countries),
+        roads_(schema_.num_road_types) {
+    synth_.seed = 4242;
+    synth_.base_updates_per_day = 80.0;
+    synth_.period = DateRange(Date::FromYmd(2021, 1, 1),
+                              Date::FromYmd(2021, 3, 31));
   }
 
-  QueryExecutor executor(index.value().get(), nullptr, &world);
+  std::unique_ptr<TemporalIndex> BuildIndex(CubeEncodingPolicy policy) {
+    TemporalIndexOptions options;
+    options.schema = schema_;
+    options.dir = env::JoinPath(
+        dir_.path(), policy == CubeEncodingPolicy::kAdaptive ? "adaptive"
+                                                             : "dense");
+    options.device = DeviceModel::None();
+    options.encoding = policy;
+    auto index = TemporalIndex::Create(options);
+    EXPECT_TRUE(index.ok());
+    if (!index.ok()) return nullptr;
+    UpdateGenerator gen(synth_, &world_, &roads_);
+    CubeBuilder builder(schema_, &world_);
+    records_.clear();
+    for (Date d = synth_.period.first; d <= synth_.period.last; d = d.next()) {
+      auto records = gen.GenerateDayRecords(d);
+      EXPECT_TRUE(index.value()->AppendDay(d, builder.BuildCube(records)).ok());
+      records_.insert(records_.end(), records.begin(), records.end());
+    }
+    return std::move(index).value();
+  }
+
+  TempDir dir_{"brute-force"};
+  CubeSchema schema_;
+  WorldMap world_;
+  RoadTypeTable roads_;
+  SynthOptions synth_;
+  std::vector<UpdateRecord> records_;
+};
+
+TEST_F(ExecutorBruteForceTest, RandomQueriesMatchRecordScan) {
+  auto index = BuildIndex(CubeEncodingPolicy::kAdaptive);
+  ASSERT_NE(index, nullptr);
+  QueryExecutor executor(index.get(), nullptr, &world_);
   Rng rng(99);
-  const auto& countries = world.country_ids();
+  const auto& countries = world_.country_ids();
   for (int trial = 0; trial < 40; ++trial) {
     AnalysisQuery q;
     // Random window inside the covered period.
     int start = static_cast<int>(rng.Uniform(90));
     int len = 1 + static_cast<int>(rng.Uniform(90 - start));
-    q.range = DateRange(synth.period.first.AddDays(start),
-                        synth.period.first.AddDays(start + len - 1));
+    q.range = DateRange(synth_.period.first.AddDays(start),
+                        synth_.period.first.AddDays(start + len - 1));
     // Random filters.
     if (rng.Bernoulli(0.4)) {
       q.element_types = {static_cast<ElementType>(rng.Uniform(3))};
@@ -134,7 +156,8 @@ TEST(ExecutorBruteForceTest, RandomQueriesMatchRecordScan) {
       }
     }
     if (rng.Bernoulli(0.3)) {
-      q.road_types = {static_cast<RoadTypeId>(rng.Uniform(schema.num_road_types))};
+      q.road_types = {
+          static_cast<RoadTypeId>(rng.Uniform(schema_.num_road_types))};
     }
     if (rng.Bernoulli(0.4)) {
       q.update_types = {static_cast<UpdateType>(rng.Uniform(4))};
@@ -149,8 +172,7 @@ TEST(ExecutorBruteForceTest, RandomQueriesMatchRecordScan) {
     auto result = executor.Execute(q);
     ASSERT_TRUE(result.ok()) << q.ToString();
 
-    std::map<GroupKey, uint64_t> expected =
-        BruteForce(all_records, q, world);
+    std::map<GroupKey, uint64_t> expected = BruteForce(records_, q, world_);
     std::map<GroupKey, uint64_t> actual;
     for (const ResultRow& row : result.value().rows) {
       GroupKey gk{row.element_type,
@@ -160,6 +182,49 @@ TEST(ExecutorBruteForceTest, RandomQueriesMatchRecordScan) {
       actual[gk] = row.count;
     }
     ASSERT_EQ(actual, expected) << "trial " << trial << ": " << q.ToString();
+  }
+}
+
+// Date-grouped rows come out in the reference's key order, (element_type,
+// date, country, road_type, update_type), for every grouping that
+// includes the date, over both adaptive (sparse) and forced-dense cubes.
+TEST_F(ExecutorBruteForceTest, DateGroupedRowsFollowReferenceOrder) {
+  for (CubeEncodingPolicy policy :
+       {CubeEncodingPolicy::kAdaptive, CubeEncodingPolicy::kForceDense}) {
+    auto index = BuildIndex(policy);
+    ASSERT_NE(index, nullptr);
+    QueryExecutor executor(index.get(), nullptr, &world_);
+    for (int mask = 0; mask < 16; ++mask) {
+      AnalysisQuery q;
+      q.range = DateRange(Date::FromYmd(2021, 1, 20),
+                          Date::FromYmd(2021, 3, 10));
+      q.group_date = true;
+      q.group_element_type = (mask & 1) != 0;
+      q.group_country = (mask & 2) != 0;
+      q.group_road_type = (mask & 4) != 0;
+      q.group_update_type = (mask & 8) != 0;
+      // Two of the groupings also filter, so slices exclude cells.
+      if (mask == 5) q.update_types = {UpdateType::kNew, UpdateType::kGeometry};
+      if (mask == 10) q.element_types = {ElementType::kWay};
+      auto result = executor.Execute(q);
+      ASSERT_TRUE(result.ok()) << q.ToString();
+
+      const std::map<GroupKey, uint64_t> groups =
+          BruteForce(records_, q, world_);
+      const std::vector<std::pair<GroupKey, uint64_t>> expected(
+          groups.begin(), groups.end());
+      std::vector<std::pair<GroupKey, uint64_t>> actual;
+      for (const ResultRow& row : result.value().rows) {
+        ASSERT_TRUE(row.has_date);
+        actual.push_back({GroupKey{row.element_type,
+                                   row.date.days_since_epoch(), row.country,
+                                   row.road_type, row.update_type},
+                          row.count});
+      }
+      EXPECT_EQ(actual, expected)
+          << (policy == CubeEncodingPolicy::kAdaptive ? "adaptive" : "dense")
+          << ": " << q.ToString();
+    }
   }
 }
 

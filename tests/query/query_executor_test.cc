@@ -1,11 +1,13 @@
 #include "query/query_executor.h"
 
 #include <map>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "index/cube_builder.h"
 #include "io/env.h"
+#include "synth/update_generator.h"
 
 namespace rased {
 namespace {
@@ -313,6 +315,57 @@ TEST_F(QueryExecutorTest, RangeClampedToCoverage) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 1u);
   EXPECT_EQ(result.value().rows[0].count, 7u * 59);  // all 59 covered days
+}
+
+// The widest date-grouped query at the paper rate: 90 days of the paper
+// fixture's generator (paper-scale schema, 500 updates a day) grouped by
+// every dimension give about 40,000 rows, and the executor's heap calls
+// must not grow with them (a tree node per row made 40,381 here).
+TEST(QueryExecutorPaperScaleTest, WideDateGroupingAllocatesPerQueryNotPerRow) {
+  TempDir dir("executor-paper");
+  const CubeSchema schema = CubeSchema::PaperScale();
+  WorldMap world(schema.num_countries);
+  RoadTypeTable roads(schema.num_road_types);
+  SynthOptions synth;
+  synth.seed = 1;
+  synth.base_updates_per_day = 500.0;
+  synth.period = DateRange(Date::FromYmd(2020, 1, 1),
+                           Date::FromYmd(2020, 3, 30));
+  TemporalIndexOptions options;
+  options.schema = schema;
+  options.dir = env::JoinPath(dir.path(), "index");
+  options.device = DeviceModel::None();
+  auto index = TemporalIndex::Create(options);
+  ASSERT_TRUE(index.ok());
+  UpdateGenerator gen(synth, &world, &roads);
+  CubeBuilder builder(schema, &world);
+  for (Date d = synth.period.first; d <= synth.period.last; d = d.next()) {
+    ASSERT_TRUE(index.value()
+                    ->AppendDay(d, builder.BuildSparseCube(
+                                       gen.GenerateDayRecords(d)))
+                    .ok());
+  }
+
+  QueryExecutor executor(index.value().get(), nullptr, &world);
+  AnalysisQuery q;
+  q.range = synth.period;
+  q.group_date = q.group_element_type = q.group_country = true;
+  q.group_road_type = q.group_update_type = true;
+  auto result = executor.Execute(q);
+  ASSERT_TRUE(result.ok());
+  const std::vector<ResultRow>& rows = result.value().rows;
+  EXPECT_EQ(result.value().stats.cubes_total, 90u);
+  EXPECT_GT(rows.size(), 40000u);
+  // Rows in (element_type, date, country, road_type, update_type) order.
+  auto key = [](const ResultRow& row) {
+    return std::tuple(row.element_type, row.date.days_since_epoch(),
+                      row.country, row.road_type, row.update_type);
+  };
+  for (size_t i = 1; i < rows.size(); ++i) {
+    ASSERT_LT(key(rows[i - 1]), key(rows[i])) << i;
+  }
+  RecordProperty("alloc_ops", static_cast<int>(result.value().stats.alloc_ops));
+  EXPECT_LE(result.value().stats.alloc_ops, 400u) << rows.size() << " rows";
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 #   7-11. the quick benches, in one table-driven loop: concurrent
 #      queries, query hot path, ingest vs query, cube compression and
 #      profiler smoke gates (each bench's gate and trajectory file are
-#      listed at the loop)
+#      listed at the loop), then a smoke run of bench_micro's
+#      BM_FoldEncoded benchmarks
 #  12. metrics smoke: boots a tiny synthetic instance, asserts the
 #      Prometheus exposition (rased metrics + live GET /metrics) covers
 #      every serving-path family and /api/trace returns spans, checks
@@ -190,6 +191,19 @@ for row in "${QUICK_BENCHES[@]}"; do
     pass "${bench} --quick (trajectory in BENCH_${tag}.json)"
   fi
 done
+
+# bench_micro has no gate of its own; running its encoded-fold benchmarks
+# with a tiny minimum time keeps the binary building and running.
+note "bench_micro FoldEncoded (smoke)"
+bin="${PREFIX}-plain/bench/bench_micro"
+if [ ! -x "${bin}" ]; then
+  skip "bench_micro not built (plain build failed?)"
+elif "${bin}" --benchmark_filter=FoldEncoded --benchmark_min_time=0.01 \
+    >/dev/null; then
+  pass "bench_micro FoldEncoded"
+else
+  fail "bench_micro FoldEncoded"
+fi
 
 # ----------------------------------------------------------- metrics smoke --
 # End-to-end observability gate: build a tiny synthetic instance with the
