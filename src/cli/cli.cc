@@ -50,7 +50,8 @@ commands:
                   [element_types=way,node] [road_types=residential]
                   [update_types=new,delete,geometry,metadata]
                   [group=country,date,element_type,road_type,update_type]
-                  [percentage=1] [format=table|bar|json|csv|timeseries|pivot]
+                  [percentage=1]
+                  [format=table|bar|json|csv|timeseries|choropleth|pivot]
                   or the paper's SQL directly:
                   sql="SELECT Country, COUNT(*) FROM UpdateList
                        WHERE Date BETWEEN 2021-01-01 AND 2021-12-31
@@ -296,52 +297,25 @@ int CmdQuery(const Config& config) {
 
   RenderContext ctx{&rased.value()->world(), rased.value()->road_types()};
   const int64_t t_render = NowMicros();
-  std::string format = config.GetString("format", "table");
-  if (format == "table") {
-    std::printf("%s", RenderTable(result.value(), query.value(), ctx).c_str());
-  } else if (format == "bar") {
-    std::printf("%s",
-                RenderBarChart(result.value(), query.value(), ctx).c_str());
-  } else if (format == "json") {
-    std::printf("%s\n",
-                RenderJson(result.value(), query.value(), ctx).c_str());
-  } else if (format == "timeseries") {
-    std::printf("%s",
-                RenderTimeSeries(result.value(), query.value(), ctx).c_str());
-  } else if (format == "pivot") {
-    std::printf("%s",
-                RenderCountryElementPivot(result.value(), ctx).c_str());
-  } else if (format == "csv") {
-    std::printf("%s", RenderCsv(result.value(), query.value(), ctx).c_str());
-  } else {
-    return FailUsage("unknown format '" + format + "'");
+  const std::string format = config.GetString("format", "");
+  auto rendered =
+      RenderFormat(format, "table", result.value(), query.value(), ctx);
+  if (rendered.ok()) {
+    // JSON is one line; the terminal renderers end their own lines.
+    std::printf(format == "json" ? "%s\n" : "%s",
+                rendered.value().body.c_str());
   }
-
   // Record the run in the instance's trace ring, same shape as the
   // dashboard path, so slow CLI queries hit the slow-query log too.
-  const int64_t render_micros = NowMicros() - t_render;
-  const QueryStats& stats = result.value().stats;
-  QueryTrace trace;
-  trace.trace_id = CurrentTraceId();
-  trace.summary = query.value().ToString();
-  trace.wall_micros = stats.cpu_micros + render_micros;
-  trace.device_micros = stats.io.simulated_device_micros;
-  trace.cubes_total = stats.cubes_total;
-  trace.cubes_from_cache = stats.cubes_from_cache;
-  trace.cubes_from_disk = stats.cubes_from_disk;
-  trace.page_reads = stats.io.page_reads;
-  trace.read_ops = stats.io.read_ops;
-  trace.bytes_read = stats.io.bytes_read;
-  trace.spans = result.value().spans;
-  trace.spans.push_back({"render", render_micros, 0});
-  rased.value()->traces()->Record(std::move(trace));
+  const QueryTrace trace = MakeQueryTrace(
+      query.value(), std::move(result).value(), NowMicros() - t_render);
+  rased.value()->traces()->Record(trace);
+  if (!rendered.ok()) return Fail(rendered.status());
 
   std::fprintf(stderr, "-- %llu cubes (%llu cached), %.3f ms\n",
-               static_cast<unsigned long long>(
-                   result.value().stats.cubes_total),
-               static_cast<unsigned long long>(
-                   result.value().stats.cubes_from_cache),
-               result.value().stats.total_micros() / 1000.0);
+               static_cast<unsigned long long>(trace.stats.cubes_total),
+               static_cast<unsigned long long>(trace.stats.cubes_from_cache),
+               trace.stats.total_micros() / 1000.0);
   return 0;
 }
 

@@ -1,5 +1,7 @@
 #include "core/rased.h"
 
+#include <utility>
+
 #include "cube/agg_kernels.h"
 #include "io/env.h"
 #include "obs/build_info.h"
@@ -10,11 +12,11 @@ namespace rased {
 
 Rased::Rased(const RasedOptions& options) : options_(options) {}
 
-std::string Rased::MetaPath(const std::string& dir) {
+namespace {
+
+std::string MetaPath(const std::string& dir) {
   return env::JoinPath(dir, "rased.meta");
 }
-
-namespace {
 
 constexpr std::string_view kMetaHeader = "rased-meta v2";
 
@@ -23,6 +25,57 @@ constexpr std::string_view kMetaHeader = "rased-meta v2";
 std::string RoadTypesLine(const RoadTypeTable& road_types) {
   return StrFormat("roadtypes %zu %016llx", road_types.size(),
                    static_cast<unsigned long long>(road_types.Fingerprint()));
+}
+
+/// rased.meta as written by SaveMeta, read over `base`: each structural
+/// line (schema, levels, warehouse) overrides its field of `base.dir`'s
+/// options, an absent line keeps `base`'s value, and the road-type list is
+/// required.
+struct MetaFile {
+  RasedOptions options;
+  std::string road_types_line;
+  std::vector<std::pair<uint64_t, uint64_t>> zone_sizes;  // (id, size)
+};
+
+Result<MetaFile> ReadMeta(const RasedOptions& base) {
+  RASED_ASSIGN_OR_RETURN(std::string contents,
+                         env::ReadFile(MetaPath(base.dir)));
+  std::vector<std::string> lines = Split(contents, '\n');
+  if (lines.empty() || lines[0] != kMetaHeader) {
+    return Status::Corruption("bad rased.meta header in " + base.dir);
+  }
+  MetaFile meta{base, {}, {}};
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::string_view line = Trim(lines[i]);
+    if (line.empty()) continue;
+    std::vector<std::string> f = Split(line, ' ');
+    if (f[0] == "schema" && f.size() == 5) {
+      uint32_t dims[4];
+      for (int d = 0; d < 4; ++d) {
+        RASED_ASSIGN_OR_RETURN(int64_t n, ParseInt(f[d + 1]));
+        dims[d] = static_cast<uint32_t>(n);
+      }
+      meta.options.schema = CubeSchema{dims[0], dims[1], dims[2], dims[3]};
+    } else if (f[0] == "levels" && f.size() == 2) {
+      RASED_ASSIGN_OR_RETURN(int64_t levels, ParseInt(f[1]));
+      meta.options.num_levels = static_cast<int>(levels);
+    } else if (f[0] == "warehouse" && f.size() == 2) {
+      meta.options.enable_warehouse = f[1] == "1";
+    } else if (f[0] == "roadtypes" && f.size() == 3) {
+      meta.road_types_line = line;
+    } else if (f[0] == "zonesize" && f.size() == 3) {
+      RASED_ASSIGN_OR_RETURN(uint64_t id, ParseUint(f[1]));
+      RASED_ASSIGN_OR_RETURN(uint64_t size, ParseUint(f[2]));
+      meta.zone_sizes.emplace_back(id, size);
+    } else {
+      return Status::Corruption("bad rased.meta line: " + std::string(line));
+    }
+  }
+  if (meta.road_types_line.empty()) {
+    return Status::Corruption("rased.meta in " + base.dir +
+                              " records no road-type list");
+  }
+  return meta;
 }
 
 }  // namespace
@@ -49,96 +102,41 @@ Status Rased::SaveMeta() const {
 }
 
 Status Rased::LoadMeta() {
-  RASED_ASSIGN_OR_RETURN(std::string contents,
-                         env::ReadFile(MetaPath(options_.dir)));
-  std::vector<std::string> lines = Split(contents, '\n');
-  if (lines.empty() || lines[0] != kMetaHeader) {
-    return Status::Corruption("bad rased.meta header in " + options_.dir);
+  RASED_ASSIGN_OR_RETURN(MetaFile meta, ReadMeta(options_));
+  if (!(meta.options.schema == options_.schema)) {
+    return Status::InvalidArgument("rased.meta schema " +
+                                   meta.options.schema.ToString() +
+                                   " does not match requested " +
+                                   options_.schema.ToString());
   }
-  bool road_types_checked = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = Trim(lines[i]);
-    if (line.empty()) continue;
-    std::vector<std::string> f = Split(line, ' ');
-    if (f[0] == "schema" && f.size() == 5) {
-      CubeSchema s;
-      RASED_ASSIGN_OR_RETURN(int64_t et, ParseInt(f[1]));
-      RASED_ASSIGN_OR_RETURN(int64_t co, ParseInt(f[2]));
-      RASED_ASSIGN_OR_RETURN(int64_t rt, ParseInt(f[3]));
-      RASED_ASSIGN_OR_RETURN(int64_t ut, ParseInt(f[4]));
-      s.num_element_types = static_cast<uint32_t>(et);
-      s.num_countries = static_cast<uint32_t>(co);
-      s.num_road_types = static_cast<uint32_t>(rt);
-      s.num_update_types = static_cast<uint32_t>(ut);
-      if (!(s == options_.schema)) {
-        return Status::InvalidArgument("rased.meta schema " + s.ToString() +
-                                       " does not match requested " +
-                                       options_.schema.ToString());
-      }
-    } else if (f[0] == "levels" && f.size() == 2) {
-      RASED_ASSIGN_OR_RETURN(int64_t levels, ParseInt(f[1]));
-      if (levels != options_.num_levels) {
-        return Status::InvalidArgument(
-            StrFormat("rased.meta has %d levels, requested %d",
-                      static_cast<int>(levels), options_.num_levels));
-      }
-    } else if (f[0] == "warehouse" && f.size() == 2) {
-      // Informational; the index/warehouse files themselves decide.
-    } else if (f[0] == "roadtypes" && f.size() == 3) {
-      const std::string want = RoadTypesLine(*road_types_);
-      if (line != want) {
-        return Status::InvalidArgument(
-            "rased.meta in " + options_.dir + " records the road-type list '" +
-            std::string(line) + "', this build has '" + want +
-            "': its cubes are keyed by other road-type ids");
-      }
-      road_types_checked = true;
-    } else if (f[0] == "zonesize" && f.size() == 3) {
-      RASED_ASSIGN_OR_RETURN(uint64_t id, ParseUint(f[1]));
-      RASED_ASSIGN_OR_RETURN(uint64_t size, ParseUint(f[2]));
-      if (id < world_->num_zones() &&
-          world_->zone(static_cast<ZoneId>(id)).kind == ZoneKind::kCountry) {
-        world_->SetRoadNetworkSize(static_cast<ZoneId>(id), size);
-      }
-    } else {
-      return Status::Corruption("bad rased.meta line: " + std::string(line));
+  if (meta.options.num_levels != options_.num_levels) {
+    return Status::InvalidArgument(
+        StrFormat("rased.meta has %d levels, requested %d",
+                  meta.options.num_levels, options_.num_levels));
+  }
+  // The warehouse line is informational; the index/warehouse files
+  // themselves decide.
+  const std::string want = RoadTypesLine(*road_types_);
+  if (meta.road_types_line != want) {
+    return Status::InvalidArgument(
+        "rased.meta in " + options_.dir + " records the road-type list '" +
+        meta.road_types_line + "', this build has '" + want +
+        "': its cubes are keyed by other road-type ids");
+  }
+  for (const auto& [id, size] : meta.zone_sizes) {
+    if (id < world_->num_zones() &&
+        world_->zone(static_cast<ZoneId>(id)).kind == ZoneKind::kCountry) {
+      world_->SetRoadNetworkSize(static_cast<ZoneId>(id), size);
     }
-  }
-  if (!road_types_checked) {
-    return Status::Corruption("rased.meta in " + options_.dir +
-                              " records no road-type list");
   }
   return Status::OK();
 }
 
 Result<RasedOptions> Rased::LoadOptions(const std::string& dir) {
-  RASED_ASSIGN_OR_RETURN(std::string contents, env::ReadFile(MetaPath(dir)));
-  std::vector<std::string> lines = Split(contents, '\n');
-  if (lines.empty() || lines[0] != kMetaHeader) {
-    return Status::Corruption("bad rased.meta header in " + dir);
-  }
-  RasedOptions options;
-  options.dir = dir;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::vector<std::string> f = Split(Trim(lines[i]), ' ');
-    if (f.empty()) continue;
-    if (f[0] == "schema" && f.size() == 5) {
-      RASED_ASSIGN_OR_RETURN(int64_t et, ParseInt(f[1]));
-      RASED_ASSIGN_OR_RETURN(int64_t co, ParseInt(f[2]));
-      RASED_ASSIGN_OR_RETURN(int64_t rt, ParseInt(f[3]));
-      RASED_ASSIGN_OR_RETURN(int64_t ut, ParseInt(f[4]));
-      options.schema.num_element_types = static_cast<uint32_t>(et);
-      options.schema.num_countries = static_cast<uint32_t>(co);
-      options.schema.num_road_types = static_cast<uint32_t>(rt);
-      options.schema.num_update_types = static_cast<uint32_t>(ut);
-    } else if (f[0] == "levels" && f.size() == 2) {
-      RASED_ASSIGN_OR_RETURN(int64_t levels, ParseInt(f[1]));
-      options.num_levels = static_cast<int>(levels);
-    } else if (f[0] == "warehouse" && f.size() == 2) {
-      options.enable_warehouse = f[1] == "1";
-    }
-  }
-  return options;
+  RasedOptions base;
+  base.dir = dir;
+  RASED_ASSIGN_OR_RETURN(MetaFile meta, ReadMeta(base));
+  return meta.options;
 }
 
 Result<std::unique_ptr<Rased>> Rased::Create(const RasedOptions& options) {

@@ -15,10 +15,10 @@
 #include "index/cube_builder.h"
 #include "index/temporal_index.h"
 #include "obs/metrics_registry.h"
-#include "obs/query_trace.h"
 #include "osm/road_types.h"
 #include "query/analysis_query.h"
 #include "query/query_executor.h"
+#include "query/query_trace.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
 #include "warehouse/warehouse.h"
@@ -212,7 +212,6 @@ class Rased {
   /// (Percentage denominators). Saved on Create and Sync, loaded on Open.
   Status SaveMeta() const;
   Status LoadMeta();
-  static std::string MetaPath(const std::string& dir);
 
   /// Serializes the write side only (ingestion pipelines, WarmCache,
   /// Sync): crawls stay ordered, the warehouse appends in day order, and

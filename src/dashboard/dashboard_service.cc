@@ -325,57 +325,18 @@ void DashboardService::ExecuteAndRender(const AnalysisQuery& query,
     WriteError(result.status(), response);
     return;
   }
-  const QueryResult& value = result.value();
-
   const int64_t t_render = NowMicros();
-  std::string format = request.Param("format");
-  if (format.empty() || format == "json") {
-    response->body = RenderJson(value, query, ctx_);
-  } else if (format == "csv") {
-    response->content_type = "text/csv; charset=utf-8";
-    response->body = RenderCsv(value, query, ctx_);
-  } else if (format == "table") {
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = RenderTable(value, query, ctx_);
-  } else if (format == "bar") {
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = RenderBarChart(value, query, ctx_);
-  } else if (format == "timeseries") {
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = RenderTimeSeries(value, query, ctx_);
-  } else if (format == "choropleth") {
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = RenderChoropleth(value, ctx_);
-  } else if (format == "pivot") {
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = RenderCountryElementPivot(value, ctx_);
+  auto rendered = RenderFormat(request.Param("format"), "json",
+                               result.value(), query, ctx_);
+  if (rendered.ok()) {
+    response->content_type = std::move(rendered.value().content_type);
+    response->body = std::move(rendered.value().body);
   } else {
-    WriteError(Status::InvalidArgument("unknown format '" + format + "'"),
-               response);
+    WriteError(rendered.status(), response);
   }
-
   // Record the trace even on a bad-format response — the query itself ran.
-  // The executor's spans partition its wall time; the service adds the
-  // render span on top, so trace wall = executor cpu + render time.
-  const int64_t render_micros = NowMicros() - t_render;
-  QueryTrace trace;
-  trace.trace_id = CurrentTraceId();
-  trace.summary = query.ToString();
-  trace.wall_micros = value.stats.cpu_micros + render_micros;
-  trace.device_micros = value.stats.io.simulated_device_micros;
-  trace.cubes_total = value.stats.cubes_total;
-  trace.cubes_from_cache = value.stats.cubes_from_cache;
-  trace.cubes_from_disk = value.stats.cubes_from_disk;
-  trace.page_reads = value.stats.io.page_reads;
-  trace.read_ops = value.stats.io.read_ops;
-  trace.bytes_read = value.stats.io.bytes_read;
-  trace.epoch = value.stats.epoch;
-  trace.alloc_bytes = value.stats.alloc_bytes;
-  trace.alloc_ops = value.stats.alloc_ops;
-  trace.peak_alloc_bytes = value.stats.peak_alloc_bytes;
-  trace.spans = value.spans;
-  trace.spans.push_back({"render", render_micros, 0});
-  rased_->traces()->Record(std::move(trace));
+  rased_->traces()->Record(MakeQueryTrace(
+      query, std::move(result).value(), NowMicros() - t_render));
 }
 
 void DashboardService::HandleSample(const HttpRequest& request,
@@ -529,18 +490,18 @@ void DashboardService::HandleTrace(const HttpRequest& request,
     w.KV("trace_id", std::string_view(trace_hex));
     w.KV("query", std::string_view(t.summary));
     w.KV("wall_micros", t.wall_micros);
-    w.KV("device_micros", t.device_micros);
+    w.KV("device_micros", t.device_micros());
     w.KV("total_micros", t.total_micros());
-    w.KV("cubes_total", t.cubes_total);
-    w.KV("cubes_from_cache", t.cubes_from_cache);
-    w.KV("cubes_from_disk", t.cubes_from_disk);
-    w.KV("page_reads", t.page_reads);
-    w.KV("read_ops", t.read_ops);
-    w.KV("bytes_read", t.bytes_read);
-    w.KV("epoch", t.epoch);
-    w.KV("alloc_bytes", t.alloc_bytes);
-    w.KV("alloc_ops", t.alloc_ops);
-    w.KV("peak_alloc_bytes", t.peak_alloc_bytes);
+    w.KV("cubes_total", t.stats.cubes_total);
+    w.KV("cubes_from_cache", t.stats.cubes_from_cache);
+    w.KV("cubes_from_disk", t.stats.cubes_from_disk);
+    w.KV("page_reads", t.stats.io.page_reads);
+    w.KV("read_ops", t.stats.io.read_ops);
+    w.KV("bytes_read", t.stats.io.bytes_read);
+    w.KV("epoch", t.stats.epoch);
+    w.KV("alloc_bytes", t.stats.alloc_bytes);
+    w.KV("alloc_ops", t.stats.alloc_ops);
+    w.KV("peak_alloc_bytes", t.stats.peak_alloc_bytes);
     w.Key("spans");
     w.BeginArray();
     for (const TraceSpan& span : t.spans) {

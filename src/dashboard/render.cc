@@ -426,4 +426,32 @@ std::string RenderJson(const QueryResult& result, const AnalysisQuery& query,
   return std::move(w).Finish();
 }
 
+Result<RenderedResult> RenderFormat(std::string_view format,
+                                    std::string_view default_format,
+                                    const QueryResult& result,
+                                    const AnalysisQuery& query,
+                                    const RenderContext& ctx) {
+  if (format.empty()) format = default_format;
+  RenderedResult out{"text/plain; charset=utf-8", ""};
+  if (format == "json") {
+    out = {"application/json", RenderJson(result, query, ctx)};
+  } else if (format == "csv") {
+    out = {"text/csv; charset=utf-8", RenderCsv(result, query, ctx)};
+  } else if (format == "table") {
+    out.body = RenderTable(result, query, ctx);
+  } else if (format == "bar") {
+    out.body = RenderBarChart(result, query, ctx);
+  } else if (format == "timeseries") {
+    out.body = RenderTimeSeries(result, query, ctx);
+  } else if (format == "choropleth") {
+    out.body = RenderChoropleth(result, ctx);
+  } else if (format == "pivot") {
+    out.body = RenderCountryElementPivot(result, ctx);
+  } else {
+    return Status::InvalidArgument("unknown format '" + std::string(format) +
+                                   "'");
+  }
+  return out;
+}
+
 }  // namespace rased

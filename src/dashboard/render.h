@@ -2,11 +2,13 @@
 #define RASED_DASHBOARD_RENDER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "geo/world_map.h"
 #include "osm/road_types.h"
 #include "query/analysis_query.h"
+#include "util/result.h"
 
 namespace rased {
 
@@ -76,6 +78,22 @@ void AppendCsvField(std::string* out, std::string_view field);
 /// format map analysts feed into spreadsheets and notebooks.
 std::string RenderCsv(const QueryResult& result, const AnalysisQuery& query,
                       const RenderContext& ctx);
+
+/// A rendered query answer: the HTTP content type and the body.
+struct RenderedResult {
+  std::string content_type;
+  std::string body;
+};
+
+/// The one format table behind /api/query, /api/sql and `rased query`:
+/// renders `result` as json, csv, table, bar, timeseries, choropleth or
+/// pivot. An empty `format` selects `default_format`; any other name is
+/// InvalidArgument "unknown format '<name>'".
+Result<RenderedResult> RenderFormat(std::string_view format,
+                                    std::string_view default_format,
+                                    const QueryResult& result,
+                                    const AnalysisQuery& query,
+                                    const RenderContext& ctx);
 
 }  // namespace rased
 

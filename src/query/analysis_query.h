@@ -8,7 +8,6 @@
 #include "collect/update_record.h"
 #include "geo/world_map.h"
 #include "io/pager.h"
-#include "obs/query_trace.h"
 #include "osm/element.h"
 #include "osm/road_types.h"
 #include "util/date.h"
@@ -102,13 +101,25 @@ struct QueryStats {
   QueryStats& operator+=(const QueryStats& o);
 };
 
+/// One stage of a query's execution. Every span carries two clocks:
+///  - wall_micros: real elapsed time (util/clock.h NowMicros, overridable
+///    in tests), nondeterministic in production;
+///  - device_micros: simulated device-model time charged by the pager
+///    while this stage ran — a pure function of the workload, so
+///    bit-identical between serial and concurrent runs.
+struct TraceSpan {
+  std::string name;
+  int64_t wall_micros = 0;
+  int64_t device_micros = 0;
+};
+
 /// A query answer: rows plus how it was computed.
 struct QueryResult {
   std::vector<ResultRow> rows;
   QueryStats stats;
   /// Per-stage spans (plan, cache_probe, fetch, aggregate) recorded by the
   /// executor; the serving layer appends a render span and hands the whole
-  /// trace to the TraceRecorder behind /api/trace.
+  /// trace to the TraceRecorder behind /api/trace (query/query_trace.h).
   std::vector<TraceSpan> spans;
 };
 

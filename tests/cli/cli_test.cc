@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,22 @@ TEST_F(CliTest, FullPipelineThroughCli) {
                 &out),
             0);
   EXPECT_NE(out.find("\"country\":\"Germany\""), std::string::npos);
+
+  // The CLI and /api/query share one format table: choropleth renders,
+  // and an unknown name fails with the text /api/query returns as a 400.
+  EXPECT_EQ(RunRased({"query", "dir=" + inst, "group=country",
+                      "format=choropleth"},
+                     &out),
+            0);
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 30) << out;  // rows
+  EXPECT_NE(out.find('@'), std::string::npos) << out;  // the busiest zone
+  ::testing::internal::CaptureStderr();
+  EXPECT_NE(RunRased({"query", "dir=" + inst, "format=nope"}, &out), 0);
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(error.find("InvalidArgument: unknown format 'nope'"),
+            std::string::npos)
+      << error;
+  EXPECT_TRUE(out.empty()) << out;
 
   EXPECT_EQ(RunRased({"sample", "dir=" + inst, "box=-90,-180,90,180", "n=5"},
                 &out),

@@ -109,6 +109,16 @@ TEST_F(DashboardServiceTest, TableAndBarFormats) {
   EXPECT_NE(bar.find('#'), std::string::npos);
 }
 
+TEST_F(DashboardServiceTest, UnknownFormatIs400) {
+  std::string response =
+      Fetch(service_->port(), "/api/query?group=country&format=nope");
+  EXPECT_NE(response.find("400 Bad Request"), std::string::npos) << response;
+  EXPECT_NE(
+      response.find("{\"error\":\"InvalidArgument: unknown format 'nope'\"}"),
+      std::string::npos)
+      << response;
+}
+
 TEST_F(DashboardServiceTest, TimeseriesFormat) {
   std::string response = Fetch(
       service_->port(),

@@ -56,6 +56,16 @@ std::string Body(const std::string& response) {
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
+// The unsigned value that follows `"key":` at or after `from` in `json`.
+uint64_t JsonUint(const std::string& json, const std::string& key,
+                  size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  size_t at = json.find(needle, from);
+  EXPECT_NE(at, std::string::npos) << "missing key " << key;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + needle.size()));
+}
+
 // Minimal Prometheus text-format check: every line is a comment
 // (# HELP/# TYPE) or `name{labels} value` with a numeric value.
 bool ParsesAsPrometheusText(const std::string& body, std::string* error) {
@@ -199,6 +209,33 @@ TEST_F(DashboardMetricsTest, TraceEndpointReturnsSpans) {
   EXPECT_NE(body.find("\"wall_micros\""), std::string::npos);
   EXPECT_NE(body.find("\"device_micros\""), std::string::npos);
   EXPECT_NE(body.find("\"cubes_from_cache\""), std::string::npos);
+}
+
+// The newest /api/trace entry carries the answered query's own stats and
+// the catalog epoch it was pinned to.
+TEST_F(DashboardMetricsTest, TraceEntryMatchesQueryStatsAndEpoch) {
+  const std::string query = Fetch(
+      service_->port(), "/api/query?from=2021-01-01&to=2021-02-28&group=date");
+  ASSERT_NE(query.find("200 OK"), std::string::npos);
+  const std::string answer = Body(query);
+  const size_t stats = answer.find("\"stats\":");
+  ASSERT_NE(stats, std::string::npos) << answer;
+
+  const std::string traces = Body(Fetch(service_->port(), "/api/trace"));
+  const size_t newest = traces.rfind("{\"id\":");
+  ASSERT_NE(newest, std::string::npos) << traces;
+  for (const char* key : {"cubes_total", "cubes_from_cache", "page_reads"}) {
+    EXPECT_EQ(JsonUint(traces, key, newest), JsonUint(answer, key, stats))
+        << key;
+  }
+  EXPECT_GT(JsonUint(traces, "cubes_total", newest), 0u);
+
+  const std::string metrics = Body(Fetch(service_->port(), "/metrics"));
+  const std::string gauge = "\nrased_index_epoch ";
+  const size_t line = metrics.find(gauge);
+  ASSERT_NE(line, std::string::npos);
+  EXPECT_EQ(JsonUint(traces, "epoch", newest),
+            std::stoull(metrics.substr(line + gauge.size())));
 }
 
 TEST_F(DashboardMetricsTest, NonGetOnKnownPathIs405AndCounted) {

@@ -309,5 +309,35 @@ TEST_F(EndToEndTest, OpenRefusesAnotherRoadTypeList) {
       << reopened.status().ToString();
 }
 
+// LoadOptions and Open read rased.meta through one parser: a line Open
+// rejects as Corruption is Corruption for LoadOptions too.
+TEST_F(EndToEndTest, LoadOptionsRejectsABadMetaLine) {
+  RasedOptions options;
+  options.dir = env::JoinPath(dir_.path(), "badmeta");
+  options.schema = CubeSchema::BenchScale();
+  options.num_levels = 3;
+  options.enable_warehouse = false;
+  ASSERT_TRUE(Rased::Create(options).ok());
+  auto loaded = Rased::LoadOptions(options.dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().schema == options.schema);
+  EXPECT_EQ(loaded.value().num_levels, 3);
+  EXPECT_FALSE(loaded.value().enable_warehouse);
+
+  const std::string meta_path = env::JoinPath(options.dir, "rased.meta");
+  auto meta = env::ReadFile(meta_path);
+  ASSERT_TRUE(meta.ok());
+  ASSERT_TRUE(
+      env::WriteFileAtomic(meta_path, meta.value() + "levels three four\n")
+          .ok());
+  loaded = Rased::LoadOptions(options.dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  auto reopened = Rased::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+}
+
 }  // namespace
 }  // namespace rased

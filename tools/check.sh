@@ -210,9 +210,10 @@ fi
 # CLI, then require that (a) `rased metrics probe=1` exposes every
 # serving-path metric family, (b) the live dashboard serves the same
 # exposition plus the HTTP families on GET /metrics, and (c) GET
-# /api/trace returns per-span traces. A "metrics_snapshot" JSON line from
-# the probe run becomes the BENCH_metrics_smoke.json trajectory — its own
-# file, so the query-hotpath trajectory stays a pure bench series.
+# /api/trace returns per-span traces with their epoch and alloc_ops. A
+# "metrics_snapshot" JSON line from the probe run becomes the
+# BENCH_metrics_smoke.json trajectory — its own file, so the
+# query-hotpath trajectory stays a pure bench series.
 note "metrics smoke (rased metrics + GET /metrics + GET /api/trace)"
 RASED_BIN="${PREFIX}-plain/tools/rased"
 if [ -x "${RASED_BIN}" ]; then
@@ -291,8 +292,13 @@ if [ -x "${RASED_BIN}" ]; then
           HTTP_OK=0
         fi
       done
-      curl -fsS "http://127.0.0.1:${PORT}/api/trace" \
-        | grep -q '"spans"' || HTTP_OK=0
+      TRACE_JSON="$(curl -fsS "http://127.0.0.1:${PORT}/api/trace")"
+      for key in spans epoch alloc_ops; do
+        if ! printf '%s\n' "${TRACE_JSON}" | grep -q "\"${key}\""; then
+          fail "metrics smoke: /api/trace lacks \"${key}\""
+          HTTP_OK=0
+        fi
+      done
       # Self-monitoring surface: health endpoints, the selfstats time
       # series, and the SLO/selfstats families in the live exposition.
       curl -fsS "http://127.0.0.1:${PORT}/healthz" | grep -q '^ok$' \
