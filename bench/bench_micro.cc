@@ -2,7 +2,8 @@
 // cube operations, the encoded-cube fold of each dashboard panel, record
 // codec, the crawl path (changeset store, daily diff and monthly history
 // crawls at the paper rate), the cache refresh that follows each
-// publication, zone lookup, CRC, and date arithmetic.
+// publication, the warehouse's open and daily append, zone lookup, CRC,
+// and date arithmetic.
 
 #include <benchmark/benchmark.h>
 
@@ -16,12 +17,14 @@
 #include "index/temporal_index.h"
 #include "io/crc32c.h"
 #include "io/env.h"
+#include "obs/heap_stats.h"
 #include "osm/osc.h"
 #include "synth/update_generator.h"
 #include "util/clock.h"
 #include "util/date.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "warehouse/warehouse.h"
 
 namespace rased {
 namespace {
@@ -392,6 +395,103 @@ BENCHMARK(BM_CacheRefresh)
     ->Arg(0)
     ->Arg(1)
     ->Iterations(300)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The dashbench paper fixture's warehouse records (2020, paper-scale world,
+// 500 updates a day, seed 1: about 215k records in 8 KiB pages), each day
+// kept in memory, and a closed warehouse of the whole year in a temporary
+// directory; built once per process.
+struct PaperYearWarehouse {
+  PaperYearWarehouse() : world(305), roads(150) {
+    SynthOptions synth;
+    synth.seed = 1;
+    synth.base_updates_per_day = 500.0;
+    synth.period = DateRange(Date::FromYmd(2020, 1, 1),
+                             Date::FromYmd(2020, 12, 31));
+    UpdateGenerator gen(synth, &world, &roads);
+    for (Date d = synth.period.first; d <= synth.period.last; d = d.next()) {
+      days.push_back(gen.GenerateDayRecords(d));
+      records += days.back().size();
+    }
+    options.dir = env::JoinPath(dir.path(), "year");
+    options.device = DeviceModel::None();
+    auto wh = Warehouse::Create(options);
+    RASED_CHECK(wh.ok());
+    for (const auto& day : days) RASED_CHECK(wh.value()->Append(day).ok());
+  }
+
+  static PaperYearWarehouse& Get() {
+    static PaperYearWarehouse fixture;
+    return fixture;
+  }
+
+  TempDir dir{"bench-micro-warehouse"};
+  WorldMap world;
+  RoadTypeTable roads;
+  std::vector<std::vector<UpdateRecord>> days;
+  size_t records = 0;
+  WarehouseOptions options;
+};
+
+// Warehouse::Open of the paper year: the heap scan that rebuilds the
+// changeset and spatial indexes. Only the open is timed (wall clock);
+// `alloc_ops` counts its heap allocations.
+void BM_WarehouseOpen(benchmark::State& state) {
+  PaperYearWarehouse& fixture = PaperYearWarehouse::Get();
+  uint64_t alloc_ops = 0;
+  for (auto _ : state) {
+    const int64_t start = NowMicros();
+    ResourceScope scope;
+    auto wh = Warehouse::Open(fixture.options);
+    alloc_ops += scope.Usage().alloc_ops;
+    state.SetIterationTime(static_cast<double>(NowMicros() - start) / 1e6);
+    RASED_CHECK(wh.ok());
+    RASED_CHECK(wh.value()->num_records() == fixture.records);
+  }
+  state.counters["alloc_ops"] = benchmark::Counter(
+      static_cast<double>(alloc_ops), benchmark::Counter::kAvgIterations);
+  state.counters["records"] = static_cast<double>(fixture.records);
+}
+BENCHMARK(BM_WarehouseOpen)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// Warehouse::Append of each paper day from July to December in turn (184
+// iterations, each with changesets the warehouse has not seen) onto a fresh
+// warehouse that holds January to June (about 107k records, appended
+// untimed). Wall clock; `alloc_ops` counts heap allocations per day.
+constexpr size_t kFirstHalfDays = 182;  // 2020-01-01 .. 2020-06-30
+
+void BM_WarehouseAppendDay(benchmark::State& state) {
+  PaperYearWarehouse& fixture = PaperYearWarehouse::Get();
+  TempDir dir("bench-micro-append");
+  WarehouseOptions options = fixture.options;
+  options.dir = dir.path();
+  auto wh = Warehouse::Create(options);
+  RASED_CHECK(wh.ok());
+  for (size_t d = 0; d < kFirstHalfDays; ++d) {
+    RASED_CHECK(wh.value()->Append(fixture.days[d]).ok());
+  }
+  size_t next = kFirstHalfDays;
+  uint64_t alloc_ops = 0;
+  size_t records = 0;
+  for (auto _ : state) {
+    RASED_CHECK(next < fixture.days.size());
+    const std::vector<UpdateRecord>& day = fixture.days[next++];
+    const int64_t start = NowMicros();
+    ResourceScope scope;
+    Status s = wh.value()->Append(day);
+    alloc_ops += scope.Usage().alloc_ops;
+    state.SetIterationTime(static_cast<double>(NowMicros() - start) / 1e6);
+    RASED_CHECK(s.ok());
+    records += day.size();
+  }
+  state.counters["alloc_ops"] = benchmark::Counter(
+      static_cast<double>(alloc_ops), benchmark::Counter::kAvgIterations);
+  state.counters["records"] = benchmark::Counter(
+      static_cast<double>(records), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WarehouseAppendDay)
+    ->Iterations(184)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 

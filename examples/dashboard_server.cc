@@ -73,9 +73,15 @@ int main(int argc, char** argv) {
   if (serve_seconds > 0) {
     std::printf("serving for %lld s (serve_seconds=0 to run forever)...\n",
                 static_cast<long long>(serve_seconds));
-    std::this_thread::sleep_for(std::chrono::seconds(serve_seconds));
   } else {
     std::printf("serving until killed...\n");
+  }
+  // A script reading a redirected stdout learns the port while the server
+  // is still running.
+  std::fflush(stdout);
+  if (serve_seconds > 0) {
+    std::this_thread::sleep_for(std::chrono::seconds(serve_seconds));
+  } else {
     for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
   }
   service.Stop();

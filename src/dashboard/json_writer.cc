@@ -1,5 +1,6 @@
 #include "dashboard/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "util/logging.h"
@@ -70,11 +71,16 @@ void JsonWriter::Value(uint64_t value) {
 
 void JsonWriter::Value(double value) {
   MaybeComma();
-  if (std::isfinite(value)) {
-    out_ += StrFormat("%.6g", value);
-  } else {
+  if (!std::isfinite(value)) {
     out_ += "null";  // JSON has no NaN/Inf
+    return;
   }
+  // The general format at precision 6 is printf's "%.6g", without the
+  // locale and format-string work of a printf call per number.
+  char buf[32];
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 6);
+  out_.append(buf, result.ptr);
 }
 
 void JsonWriter::Value(bool value) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <queue>
+#include <utility>
 
 #include "io/env.h"
 #include "util/logging.h"
@@ -30,6 +32,17 @@ size_t CellOf(int row, int col) {
   return static_cast<size_t>(row) * kGridCols + static_cast<size_t>(col);
 }
 
+/// Changeset table slots before the first doubling.
+constexpr size_t kInitialChangesetSlots = 1024;
+
+size_t HashChangeset(uint64_t id) {
+  // The finalizer of MurmurHash3: sequential ids spread over the table.
+  id ^= id >> 33;
+  id *= 0xff51afd7ed558ccdull;
+  id ^= id >> 33;
+  return static_cast<size_t>(id);
+}
+
 template <typename T>
 bool InListOrEmpty(const std::vector<T>& list, T value) {
   return list.empty() || std::find(list.begin(), list.end(), value) != list.end();
@@ -50,7 +63,8 @@ Warehouse::Warehouse(WarehouseOptions options, std::unique_ptr<Pager> pager)
     : options_(std::move(options)), pager_(std::move(pager)) {
   tail_.assign(pager_->payload_size(), 0);
   MutexLock lock(&mu_);
-  grid_.resize(CellOf(kGridRows, 0));
+  cell_newest_.assign(CellOf(kGridRows, 0), kNoOrdinal);
+  changesets_.resize(kInitialChangesetSlots);
 }
 
 Warehouse::~Warehouse() {
@@ -87,44 +101,102 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Open(
 
 Status Warehouse::RebuildIndexes() {
   // Scan every heap page; slot counts are stored in the first 4 payload
-  // bytes of each page.
+  // bytes of each page. Appends after the open start a fresh page, so a
+  // partial last page stays partial in the middle of the heap.
+  const size_t per_page = RecordsPerPage();
+  page_first_.reserve(pager_->num_pages());
+  chunks_.reserve(pager_->num_pages() * per_page / kChunkEntries + 1);
   std::vector<unsigned char> buf(pager_->payload_size());
   for (PageId page = 1; page <= pager_->num_pages(); ++page) {
     RASED_RETURN_IF_ERROR(pager_->ReadPage(page, buf.data()));
     uint32_t count;
     std::memcpy(&count, buf.data(), 4);
+    if (count > per_page || count > kNoOrdinal - num_records_) {
+      return Status::Corruption(
+          StrFormat("warehouse page %llu claims %u records after %llu",
+                    static_cast<unsigned long long>(page), count,
+                    static_cast<unsigned long long>(num_records_)));
+    }
+    page_first_.push_back(static_cast<uint32_t>(num_records_));
     for (uint32_t slot = 0; slot < count; ++slot) {
-      UpdateRecord r = UpdateRecord::DecodeFrom(
-          buf.data() + 4 + slot * UpdateRecord::kEncodedBytes);
-      IndexRecord(r, Locator(page, slot));
-      ++num_records_;
+      IndexRecord(UpdateRecord::DecodeFrom(
+          buf.data() + 4 + slot * UpdateRecord::kEncodedBytes));
     }
   }
   return Status::OK();
 }
 
-void Warehouse::IndexRecord(const UpdateRecord& record, uint64_t locator) {
-  by_changeset_[record.changeset_id].push_back(locator);
-  grid_[CellOf(GridRow(record.lat), GridCol(record.lon))].push_back(
-      GridPoint{record.lat, record.lon, locator});
-  const size_t page_index = PageOf(locator) - 1;
-  if (page_counts_.size() <= page_index) page_counts_.resize(page_index + 1);
-  page_counts_[page_index] = SlotOf(locator) + 1;
+size_t Warehouse::ChangesetSlotOf(uint64_t id) const {
+  const size_t mask = changesets_.size() - 1;
+  size_t i = HashChangeset(id) & mask;
+  while (changesets_[i].newest != kNoOrdinal && changesets_[i].id != id) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+uint32_t& Warehouse::ChangesetHead(uint64_t id) {
+  size_t i = ChangesetSlotOf(id);
+  if (changesets_[i].newest == kNoOrdinal) {
+    if (4 * (num_changesets_ + 1) > 3 * changesets_.size()) {
+      const std::vector<ChangesetSlot> old = std::exchange(
+          changesets_, std::vector<ChangesetSlot>(2 * changesets_.size()));
+      for (const ChangesetSlot& slot : old) {
+        if (slot.newest != kNoOrdinal) {
+          changesets_[ChangesetSlotOf(slot.id)] = slot;
+        }
+      }
+      i = ChangesetSlotOf(id);
+    }
+    changesets_[i].id = id;
+    ++num_changesets_;
+  }
+  return changesets_[i].newest;
+}
+
+void Warehouse::IndexRecord(const UpdateRecord& record) {
+  const uint32_t ordinal = static_cast<uint32_t>(num_records_);
+  if (ordinal % kChunkEntries == 0) {
+    chunks_.push_back(std::make_unique_for_overwrite<Entry[]>(kChunkEntries));
+  }
+  uint32_t& cell =
+      cell_newest_[CellOf(GridRow(record.lat), GridCol(record.lon))];
+  uint32_t& changeset = ChangesetHead(record.changeset_id);
+  chunks_.back()[ordinal % kChunkEntries] =
+      Entry{record.lat, record.lon, cell, changeset};
+  cell = ordinal;
+  changeset = ordinal;
+  ++num_records_;
+}
+
+uint64_t Warehouse::LocatorOf(uint32_t ordinal) const {
+  // The last page whose first ordinal is <= ordinal; upper_bound steps
+  // past an empty page, which shares its successor's first ordinal.
+  const size_t index = static_cast<size_t>(
+      std::upper_bound(page_first_.begin(), page_first_.end(), ordinal) -
+      page_first_.begin() - 1);
+  return Locator(index + 1, ordinal - page_first_[index]);
 }
 
 Status Warehouse::Append(const std::vector<UpdateRecord>& records) {
   MutexLock lock(&mu_);
+  if (records.size() > kNoOrdinal - num_records_) {
+    return Status::OutOfRange(
+        StrFormat("warehouse holds %llu records; %zu more pass its limit %u",
+                  static_cast<unsigned long long>(num_records_),
+                  records.size(), kNoOrdinal));
+  }
   const size_t per_page = RecordsPerPage();
   for (const UpdateRecord& r : records) {
     if (tail_page_ == kInvalidPageId) {
       RASED_ASSIGN_OR_RETURN(tail_page_, pager_->AllocatePage());
       std::fill(tail_.begin(), tail_.end(), 0);
       tail_count_ = 0;
+      page_first_.push_back(static_cast<uint32_t>(num_records_));
     }
     r.EncodeTo(tail_.data() + 4 + tail_count_ * UpdateRecord::kEncodedBytes);
-    IndexRecord(r, Locator(tail_page_, tail_count_));
+    IndexRecord(r);
     ++tail_count_;
-    ++num_records_;
     if (tail_count_ == per_page) {
       RASED_RETURN_IF_ERROR(FlushTail());
       tail_page_ = kInvalidPageId;
@@ -147,41 +219,27 @@ Status Warehouse::Sync() {
 
 std::vector<uint64_t> Warehouse::NewestInBox(const BoundingBox& box,
                                              size_t n) const {
-  // One cursor per overlapping cell walks back from the cell's newest
-  // point; a max-heap on the cursors' locators merges the cells newest
-  // first, so only about n points are ever visited past the first probe.
-  struct Cursor {
-    uint64_t locator;
-    const std::vector<GridPoint>* cell;
-    size_t pos;  // index of the point the cursor stands on
-  };
-  auto older = [](const Cursor& a, const Cursor& b) {
-    return a.locator < b.locator;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(older)> heap(
-      older);
-  auto push_next_in_box = [&heap, &box](const std::vector<GridPoint>* cell,
-                                        size_t end) {
-    while (end > 0) {
-      const GridPoint& p = (*cell)[--end];
-      if (box.Contains(LatLon{p.lat, p.lon})) {
-        heap.push(Cursor{p.locator, cell, end});
-        return;
-      }
-    }
+  // One cursor per overlapping cell walks its chain newest first; a
+  // max-heap of the cursors' ordinals merges the cells, and each popped
+  // point is tested against the box. The points visited are the cells'
+  // heads and the points newer than the n-th match: a border cell is never
+  // walked past that match in search of its own next point in the box.
+  std::priority_queue<uint32_t> cursors;
+  auto push = [&cursors](uint32_t ordinal) {
+    if (ordinal != kNoOrdinal) cursors.push(ordinal);
   };
   for (int row = GridRow(box.min_lat); row <= GridRow(box.max_lat); ++row) {
     for (int col = GridCol(box.min_lon); col <= GridCol(box.max_lon); ++col) {
-      const std::vector<GridPoint>& cell = grid_[CellOf(row, col)];
-      push_next_in_box(&cell, cell.size());
+      push(cell_newest_[CellOf(row, col)]);
     }
   }
   std::vector<uint64_t> out;
-  while (!heap.empty() && (n == 0 || out.size() < n)) {
-    Cursor top = heap.top();
-    heap.pop();
-    out.push_back(top.locator);
-    push_next_in_box(top.cell, top.pos);
+  while (!cursors.empty() && (n == 0 || out.size() < n)) {
+    const uint32_t top = cursors.top();
+    cursors.pop();
+    const Entry& e = EntryAt(top);
+    if (box.Contains(LatLon{e.lat, e.lon})) out.push_back(LocatorOf(top));
+    push(e.prev_in_cell);
   }
   return out;
 }
@@ -267,10 +325,14 @@ Result<std::vector<UpdateRecord>> Warehouse::FindByChangeset(
   ReadSet set;
   {
     MutexLock lock(&mu_);
-    auto it = by_changeset_.find(changeset_id);
-    if (it == by_changeset_.end()) return std::vector<UpdateRecord>{};
-    set = Capture(std::vector<uint64_t>(it->second.rbegin(),
-                                        it->second.rend()));
+    std::vector<uint64_t> locators;
+    for (uint32_t ordinal =
+             changesets_[ChangesetSlotOf(changeset_id)].newest;
+         ordinal != kNoOrdinal;
+         ordinal = EntryAt(ordinal).prev_in_changeset) {
+      locators.push_back(LocatorOf(ordinal));
+    }
+    set = Capture(std::move(locators));
   }
   return Read(set, /*filter=*/nullptr, /*n=*/0);
 }
@@ -285,10 +347,12 @@ Result<std::vector<UpdateRecord>> Warehouse::Sample(
       locators = NewestInBox(*box, /*n=*/0);
     } else {
       locators.reserve(num_records_);
-      for (size_t p = page_counts_.size(); p > 0; --p) {
-        for (uint32_t slot = page_counts_[p - 1]; slot > 0; --slot) {
-          locators.push_back(Locator(p, slot - 1));
+      uint64_t end = num_records_;  // one past the page's last ordinal
+      for (size_t p = page_first_.size(); p > 0; --p) {
+        for (uint64_t slot = end - page_first_[p - 1]; slot > 0; --slot) {
+          locators.push_back(Locator(p, static_cast<uint32_t>(slot - 1)));
         }
+        end = page_first_[p - 1];
       }
     }
     set = Capture(std::move(locators));

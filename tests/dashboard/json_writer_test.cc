@@ -1,6 +1,8 @@
 #include "dashboard/json_writer.h"
 
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,28 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   w.Value(std::numeric_limits<double>::quiet_NaN());
   w.EndArray();
   EXPECT_EQ(std::move(w).Finish(), "[null,null]");
+}
+
+// Doubles are written as printf's "%.6g" writes them, byte for byte.
+TEST(JsonWriterTest, DoublesMatchPrintfPercentSixG) {
+  using limits = std::numeric_limits<double>;
+  const double values[] = {
+      0.0, -0.0, 1.0, -1.0, 7.0, 42.0, -93.0, 100000.0, 123456.0,
+      1234567.0, -1234567.0, 1e6, 1e15, 1e16, 4294967296.0,
+      999999.5, 999999.4, -999999.5, 9999995.0, 99999.95, 0.0001,
+      0.00001, 0.000123456789, 0.0009999995, 1.5, 2.5, 0.1, 1.0 / 3.0,
+      -2.0 / 3.0, 44.97123, -93.265149, 89.999999, -179.9999995, 180.0,
+      -90.0, 1e300, -1e300, 1.23456789e300, 1e-300, -1e-300,
+      2.5e-308, limits::min(), limits::denorm_min(), -limits::denorm_min(),
+      limits::min() / 3.0, limits::max(), limits::lowest(),
+      limits::epsilon()};
+  for (double value : values) {
+    JsonWriter w;
+    w.Value(value);
+    char want[64];
+    std::snprintf(want, sizeof(want), "%.6g", value);
+    EXPECT_EQ(std::move(w).Finish(), std::string(want)) << want;
+  }
 }
 
 TEST(JsonWriterTest, TopLevelScalar) {

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "io/env.h"
+#include "obs/heap_stats.h"
+#include "synth/update_generator.h"
 #include "util/random.h"
 
 namespace rased {
@@ -195,15 +199,20 @@ TEST_F(WarehouseTest, PageReadsAreBatchedByLocatorOrder) {
   EXPECT_LE(wh.value()->pager()->stats().page_reads, 8u);
 }
 
-// The sample definition every read shares: the newest `n` records in the
-// box, newest (highest heap position) first. `records` is the append order.
-std::vector<UpdateRecord> NewestInBoxReference(
-    const std::vector<UpdateRecord>& records, size_t count,
-    const BoundingBox& box, size_t n) {
+// The sample definition every read shares, by brute force over `records`
+// (append order): the records that lie in `box` (null = anywhere) and
+// match `filter` (null = all), newest (highest heap position) first, until
+// `n` (0 = all) are kept.
+std::vector<UpdateRecord> NewestMatching(std::span<const UpdateRecord> records,
+                                         const BoundingBox* box,
+                                         const SampleFilter* filter,
+                                         size_t n) {
   std::vector<UpdateRecord> out;
-  for (size_t i = count; i > 0 && (n == 0 || out.size() < n); --i) {
+  for (size_t i = records.size(); i > 0 && (n == 0 || out.size() < n); --i) {
     const UpdateRecord& r = records[i - 1];
-    if (box.Contains(LatLon{r.lat, r.lon})) out.push_back(r);
+    if (box != nullptr && !box->Contains(LatLon{r.lat, r.lon})) continue;
+    if (filter != nullptr && !filter->Matches(r)) continue;
+    out.push_back(r);
   }
   return out;
 }
@@ -247,7 +256,7 @@ TEST_F(WarehouseTest, SamplesReturnNewestInBoxFirst) {
       auto got = wh.value()->SampleInBox(box, n);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got.value(),
-                NewestInBoxReference(records, records.size(), box, n))
+                NewestMatching(records, &box, nullptr, n))
           << box.ToString() << " n=" << n;
     }
   }
@@ -257,21 +266,10 @@ TEST_F(WarehouseTest, SamplesReturnNewestInBoxFirst) {
   BoundingBox box{5, -5, 15, 15};
   auto filtered = wh.value()->Sample(filter, &box, 5);
   ASSERT_TRUE(filtered.ok());
-  std::vector<UpdateRecord> want;
-  for (const UpdateRecord& r : NewestInBoxReference(records, records.size(),
-                                                    box, 0)) {
-    if (r.update_type == UpdateType::kNew && want.size() < 5) want.push_back(r);
-  }
-  EXPECT_EQ(filtered.value(), want);
+  EXPECT_EQ(filtered.value(), NewestMatching(records, &box, &filter, 5));
   auto unboxed = wh.value()->Sample(filter, nullptr, 3);
   ASSERT_TRUE(unboxed.ok());
-  want.clear();
-  for (size_t i = records.size(); i > 0 && want.size() < 3; --i) {
-    if (records[i - 1].update_type == UpdateType::kNew) {
-      want.push_back(records[i - 1]);
-    }
-  }
-  EXPECT_EQ(unboxed.value(), want);
+  EXPECT_EQ(unboxed.value(), NewestMatching(records, nullptr, &filter, 3));
 
   ASSERT_TRUE(wh.value()
                   ->Append({RecordAt(1, 1, 9000), RecordAt(2, 2, 9000)})
@@ -305,7 +303,7 @@ TEST_F(WarehouseTest, SamplesIdenticalAfterReopen) {
       auto got = wh.value()->SampleInBox(box, 20);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got.value(),
-                NewestInBoxReference(records, records.size(), box, 20));
+                NewestMatching(records, &box, nullptr, 20));
       before.push_back(got.value());
     }
     auto unboxed = wh.value()->Sample(filter, nullptr, 0);
@@ -373,7 +371,8 @@ TEST_F(WarehouseTest, ConcurrentSamplersMatchReferenceAcrossMidDaySyncs) {
         }
         if (before == after && before % 2 == 0) {
           const size_t count = static_cast<size_t>(before / 2) * kHalf;
-          if (got.value() != NewestInBoxReference(records, count, box, n)) {
+          if (got.value() !=
+              NewestMatching({records.data(), count}, &box, nullptr, n)) {
             failures.fetch_add(1);
           }
           verified[t].store(before, std::memory_order_release);
@@ -403,6 +402,203 @@ TEST_F(WarehouseTest, ConcurrentSamplersMatchReferenceAcrossMidDaySyncs) {
   for (std::thread& t : samplers) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(warehouse->num_records(), records.size());
+}
+
+// Every record in the heap, oldest first, read page by page from disk with
+// the pager: the reference the differential test compares against.
+std::vector<UpdateRecord> ScanHeap(Warehouse* wh) {
+  Pager* pager = wh->pager();
+  std::vector<unsigned char> buf(pager->payload_size());
+  std::vector<UpdateRecord> out;
+  for (PageId page = 1; page <= pager->num_pages(); ++page) {
+    EXPECT_TRUE(pager->ReadPage(page, buf.data()).ok());
+    uint32_t count = 0;
+    std::memcpy(&count, buf.data(), 4);
+    for (uint32_t slot = 0; slot < count; ++slot) {
+      out.push_back(UpdateRecord::DecodeFrom(
+          buf.data() + 4 + slot * UpdateRecord::kEncodedBytes));
+    }
+  }
+  return out;
+}
+
+// Every read of a warehouse that was reopened (its first session's partial
+// last page stays partial between full pages) and synced mid-day equals a
+// newest-first scan of every heap page: boxes anywhere on the globe and
+// boxes clamped at the poles and the antimeridian, changesets whose records
+// span many pages, and filtered samples with and without a box.
+TEST_F(WarehouseTest, ReadsMatchHeapScanAcrossReopenAndMidDaySync) {
+  Rng rng(2029);
+  // One coordinate in eight sits exactly on its range's edge.
+  auto coordinate = [&rng](double limit) {
+    if (rng.Uniform(8) == 0) return rng.Bernoulli(0.5) ? limit : -limit;
+    return (rng.NextDouble() * 2.0 - 1.0) * limit;
+  };
+  // Appends `days` days of 70 records (2⅓ pages of 30) from `first`,
+  // syncing after the 33rd record of each.
+  auto append_days = [&](Warehouse* wh, Date first, int days,
+                         std::vector<UpdateRecord>* appended) {
+    for (int d = 0; d < days; ++d) {
+      std::vector<UpdateRecord> day;
+      for (int i = 0; i < 70; ++i) {
+        UpdateRecord r;
+        r.element_type = static_cast<ElementType>(rng.Uniform(3));
+        r.date = first.AddDays(d);
+        r.country = static_cast<ZoneId>(rng.Uniform(8));
+        r.lat = coordinate(90.0);
+        r.lon = coordinate(180.0);
+        r.road_type = static_cast<RoadTypeId>(rng.Uniform(6));
+        r.update_type = static_cast<UpdateType>(rng.Uniform(4));
+        r.changeset_id = 1000 + rng.Uniform(60);  // each spans many pages
+        day.push_back(r);
+      }
+      ASSERT_TRUE(wh->Append({day.begin(), day.begin() + 33}).ok());
+      ASSERT_TRUE(wh->Sync().ok());
+      ASSERT_TRUE(wh->Append({day.begin() + 33, day.end()}).ok());
+      appended->insert(appended->end(), day.begin(), day.end());
+    }
+  };
+
+  WarehouseOptions options = Options();
+  const Date start = Date::FromYmd(2021, 3, 1);
+  std::vector<UpdateRecord> appended;
+  {
+    auto wh = Warehouse::Create(options);
+    ASSERT_TRUE(wh.ok());
+    append_days(wh.value().get(), start, 6, &appended);
+  }
+  auto opened = Warehouse::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Warehouse* wh = opened.value().get();
+  ASSERT_EQ(wh->num_records(), appended.size());
+  append_days(wh, start.AddDays(6), 5, &appended);
+  // Sync writes the partial tail page's image but leaves it the tail, so
+  // the reads below still serve it from the in-memory copy.
+  ASSERT_TRUE(wh->Sync().ok());
+  const std::vector<UpdateRecord> heap = ScanHeap(wh);
+  ASSERT_EQ(heap, appended);
+  ASSERT_EQ(wh->num_records(), heap.size());
+
+  for (int i = 0; i < 200; ++i) {
+    BoundingBox box;
+    box.min_lat = coordinate(90.0);
+    box.max_lat = coordinate(90.0);
+    box.min_lon = coordinate(180.0);
+    box.max_lon = coordinate(180.0);
+    if (box.min_lat > box.max_lat) std::swap(box.min_lat, box.max_lat);
+    if (box.min_lon > box.max_lon) std::swap(box.min_lon, box.max_lon);
+    for (size_t n : {size_t{1}, size_t{100}, size_t{0}}) {
+      auto got = wh->SampleInBox(box, n);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got.value(), NewestMatching(heap, &box, nullptr, n))
+          << box.ToString() << " n=" << n;
+    }
+  }
+
+  for (uint64_t id = 1000; id < 1060; ++id) {
+    auto got = wh->FindByChangeset(id);
+    ASSERT_TRUE(got.ok());
+    std::vector<UpdateRecord> want;
+    for (const UpdateRecord& r : NewestMatching(heap, nullptr, nullptr, 0)) {
+      if (r.changeset_id == id) want.push_back(r);
+    }
+    ASSERT_EQ(got.value(), want) << "changeset " << id;
+  }
+  auto absent = wh->FindByChangeset(999);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_TRUE(absent.value().empty());
+
+  SampleFilter filter;
+  filter.range = DateRange(start.AddDays(2), start.AddDays(8));
+  filter.update_types = {UpdateType::kNew, UpdateType::kDelete};
+  filter.countries = {1, 2, 5};
+  const BoundingBox box{-45, -90, 90, 180};
+  for (size_t n : {size_t{1}, size_t{100}, size_t{0}}) {
+    auto unboxed = wh->Sample(filter, nullptr, n);
+    ASSERT_TRUE(unboxed.ok());
+    EXPECT_EQ(unboxed.value(), NewestMatching(heap, nullptr, &filter, n))
+        << "n=" << n;
+    auto boxed = wh->Sample(filter, &box, n);
+    ASSERT_TRUE(boxed.ok());
+    EXPECT_EQ(boxed.value(), NewestMatching(heap, &box, &filter, n))
+        << "n=" << n;
+  }
+}
+
+// A paper-rate year's warehouse (the dashbench paper fixture's generator:
+// paper-scale world, 500 updates a day, seed 1) indexes its records without
+// an allocation per record, on append and on open.
+TEST_F(WarehouseTest, AppendAndOpenDoNotAllocatePerRecord) {
+  WorldMap world(305);
+  RoadTypeTable roads(150);
+  SynthOptions synth;
+  synth.seed = 1;
+  synth.base_updates_per_day = 500.0;
+  synth.period = DateRange(Date::FromYmd(2020, 1, 1),
+                           Date::FromYmd(2020, 12, 31));
+  UpdateGenerator gen(synth, &world, &roads);
+  WarehouseOptions options = Options();
+  options.page_size = WarehouseOptions().page_size;
+
+  Date day = synth.period.first;
+  uint64_t max_day_ops = 0;
+  size_t max_day_records = 0;
+  {
+    auto wh = Warehouse::Create(options);
+    ASSERT_TRUE(wh.ok());
+    for (; wh.value()->num_records() < 100000; day = day.next()) {
+      ASSERT_TRUE(wh.value()->Append(gen.GenerateDayRecords(day)).ok());
+    }
+    // Three more days, each timed on its own: a day may open a new index
+    // chunk or grow the changeset table, but never allocates per record.
+    for (int i = 0; i < 3; ++i, day = day.next()) {
+      const std::vector<UpdateRecord> records = gen.GenerateDayRecords(day);
+      ResourceScope scope;
+      ASSERT_TRUE(wh.value()->Append(records).ok());
+      max_day_ops = std::max(max_day_ops, scope.Usage().alloc_ops);
+      max_day_records = std::max(max_day_records, records.size());
+    }
+  }
+  RecordProperty("append_day_alloc_ops", static_cast<int>(max_day_ops));
+  EXPECT_GT(max_day_records, 500u);
+  EXPECT_LE(max_day_ops, 16u) << max_day_records << " records";
+
+  uint64_t open_ops = 0;
+  uint64_t records = 0;
+  {
+    ResourceScope scope;
+    auto wh = Warehouse::Open(options);
+    ASSERT_TRUE(wh.ok()) << wh.status().ToString();
+    open_ops = scope.Usage().alloc_ops;
+    records = wh.value()->num_records();
+  }
+  RecordProperty("open_alloc_ops", static_cast<int>(open_ops));
+  EXPECT_GE(records, 100000u);
+  EXPECT_LT(open_ops, records / 100) << records << " records";
+}
+
+// A page whose slot count is more than a page holds fails the open, not the
+// index build.
+TEST_F(WarehouseTest, OpenRejectsPageClaimingTooManyRecords) {
+  WarehouseOptions options = Options();
+  {
+    auto wh = Warehouse::Create(options);
+    ASSERT_TRUE(wh.ok());
+    ASSERT_TRUE(wh.value()->Append({RecordAt(1, 1, 1), RecordAt(2, 2, 2)})
+                    .ok());
+  }
+  {
+    auto pager = Pager::Open(env::JoinPath(options.dir, "warehouse.pages"),
+                             options.device);
+    ASSERT_TRUE(pager.ok());
+    std::vector<unsigned char> page(pager.value()->payload_size());
+    ASSERT_TRUE(pager.value()->ReadPage(1, page.data()).ok());
+    const uint32_t count = 31;  // 1024-byte pages hold 30
+    std::memcpy(page.data(), &count, 4);
+    ASSERT_TRUE(pager.value()->WritePage(1, page.data(), page.size()).ok());
+    ASSERT_TRUE(pager.value()->Sync().ok());
+  }
+  EXPECT_TRUE(Warehouse::Open(options).status().IsCorruption());
 }
 
 TEST_F(WarehouseTest, CreateRejectsExisting) {

@@ -192,17 +192,18 @@ for row in "${QUICK_BENCHES[@]}"; do
   fi
 done
 
-# bench_micro has no gate of its own; running its encoded-fold benchmarks
-# with a tiny minimum time keeps the binary building and running.
-note "bench_micro FoldEncoded (smoke)"
+# bench_micro has no gate of its own; running its encoded-fold and
+# warehouse benchmarks with a tiny minimum time keeps the binary building
+# and running.
+note "bench_micro FoldEncoded|Warehouse (smoke)"
 bin="${PREFIX}-plain/bench/bench_micro"
 if [ ! -x "${bin}" ]; then
   skip "bench_micro not built (plain build failed?)"
-elif "${bin}" --benchmark_filter=FoldEncoded --benchmark_min_time=0.01 \
-    >/dev/null; then
-  pass "bench_micro FoldEncoded"
+elif "${bin}" --benchmark_filter='FoldEncoded|Warehouse' \
+    --benchmark_min_time=0.01 >/dev/null; then
+  pass "bench_micro FoldEncoded|Warehouse"
 else
-  fail "bench_micro FoldEncoded"
+  fail "bench_micro FoldEncoded|Warehouse"
 fi
 
 # ----------------------------------------------------------- metrics smoke --
